@@ -220,7 +220,10 @@ void carve_slab(ThreadCache& tc, std::size_t c) {
   Central& central = Central::instance();
   const std::size_t bytes = class_bytes(c);
   const std::size_t blocks = kSlabBytes / bytes;
-  char* slab = static_cast<char*>(::operator new(kSlabBytes));
+  // Plain ::operator new only guarantees 16-byte alignment; the slab must
+  // start on a class boundary for every block to start on a cache line.
+  char* slab = static_cast<char*>(
+      ::operator new(kSlabBytes, std::align_val_t{kClassGranularity}));
   {
     std::lock_guard<std::mutex> lock(central.registry_mutex);
     central.slabs.push_back(slab);
@@ -263,7 +266,7 @@ void* alloc_slow(ThreadCache& tc, std::size_t c) {
 
 /// Allocation after the thread cache was torn down (late TLS destructors,
 /// e.g. an EBR domain draining orphans during static destruction).  The
-/// block is a plain heap allocation of the exact class size, so it can
+/// block is an aligned heap allocation of the exact class size, so it can
 /// rejoin the pool when freed.
 void* alloc_no_cache(std::size_t c) {
   Central& central = Central::instance();
@@ -271,7 +274,8 @@ void* alloc_no_cache(std::size_t c) {
   void* chain = central.take_chain(c, &n);
   if (chain == nullptr) {
     central.bump_dead(kStatAllocFallback);
-    return ::operator new(class_bytes(c));
+    return ::operator new(class_bytes(c),
+                          std::align_val_t{kClassGranularity});
   }
   auto* b = static_cast<FreeBlock*>(chain);
   if (b->next != nullptr) {

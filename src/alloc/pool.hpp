@@ -12,6 +12,8 @@
 // Design:
 //  - Size classes are multiples of 64 bytes up to kMaxPooledBytes; larger
 //    requests (big chunk nodes) fall through to ::operator new/delete.
+//    Slabs are allocated 64-byte aligned, so every pooled block starts on a
+//    cache line.
 //  - Each thread owns a ThreadCache of per-class singly-linked free lists.
 //    Lists are capped; overflow is pushed to the transfer cache in batches.
 //  - The transfer cache is a per-class array of atomic slots, each holding
@@ -79,8 +81,9 @@ struct PoolStats {
 
 #if CATS_POOL_ENABLED
 
-/// Allocates `size` bytes (suitably aligned for any pooled node type).
-/// Never returns null; aborts on OS OOM like ::operator new.
+/// Allocates `size` bytes, 64-byte (cache-line) aligned when size <=
+/// kMaxPooledBytes.  Never returns null; aborts on OS OOM like
+/// ::operator new.
 void* pool_alloc(std::size_t size);
 
 /// Returns a block obtained from pool_alloc(size) with the same size.

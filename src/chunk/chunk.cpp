@@ -1,8 +1,5 @@
 #include "chunk/chunk.hpp"
 
-#include <atomic>
-
-#include "common/catomic.hpp"
 #include "common/strkey.hpp"
 
 namespace cats::chunk {
@@ -10,7 +7,7 @@ namespace cats::chunk {
 namespace detail {
 
 // Shared by every BasicChunk instantiation (see chunk_impl.hpp).
-cats::atomic<std::size_t> g_live_nodes{0};
+constinit obs::ShardedCounters<1> g_live_nodes;
 
 }  // namespace detail
 
@@ -19,7 +16,7 @@ template struct BasicChunk<Key, Value, std::less<Key>>;
 template struct BasicChunk<StrKey, Value, std::less<StrKey>>;
 
 std::size_t live_nodes() {
-  return detail::g_live_nodes.load(std::memory_order_relaxed);
+  return static_cast<std::size_t>(detail::g_live_nodes.read(0));
 }
 
 }  // namespace cats::chunk

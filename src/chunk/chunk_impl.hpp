@@ -25,6 +25,7 @@
 #include "common/catomic.hpp"
 #include "common/function_ref.hpp"
 #include "common/types.hpp"
+#include "obs/counters.hpp"
 
 namespace cats::chunk {
 
@@ -32,8 +33,9 @@ namespace detail {
 
 /// Process-wide live-node counter shared by every BasicChunk instantiation
 /// (defined in chunk.cpp), keeping leak checks meaningful across mixed
-/// key-type workloads.
-extern cats::atomic<std::size_t> g_live_nodes;
+/// key-type workloads.  Sharded like the treap's: every chunk rebuild
+/// allocates one node and frees another.
+extern obs::ShardedCounters<1> g_live_nodes;
 
 }  // namespace detail
 
@@ -85,7 +87,7 @@ struct BasicChunk {
     node->count = count;
     CATS_CHECKED_ONLY(node->check_canary.store(check::kCanaryAlive,
                                                std::memory_order_relaxed));
-    detail::g_live_nodes.fetch_add(1, std::memory_order_relaxed);
+    detail::g_live_nodes.add(0);
     return node;
   }
 
@@ -108,7 +110,7 @@ struct BasicChunk {
     CATS_CHECK(prev != 0, "chunk node %p: refcount underflow",
                static_cast<const void*>(node));
     if (prev == 1) {
-      detail::g_live_nodes.fetch_sub(1, std::memory_order_relaxed);
+      detail::g_live_nodes.sub(0);
       // Compute the size before the poison overwrites `count`; pool_free
       // needs it too (the pool's size classes are keyed on it).
       const std::size_t bytes = allocation_bytes(node->count);

@@ -101,6 +101,14 @@ RunResult run_mix(S& structure, const std::vector<ThreadGroup>& groups,
       threads.emplace_back([&, thread_index, g] {
         const Mix mix = groups[g].mix;
         Xoshiro256 rng(seed * 7919 + thread_index);
+#if CATS_OBS_ENABLED
+        // Latency sampling draws from its own stream, so the op sequence
+        // does not depend on it.  It is random rather than every 32nd op:
+        // EBR attempts an epoch advance and batch free on every 64th
+        // retirement of a thread, and a fixed stride locks onto or misses
+        // that op in every sample.
+        Xoshiro256 sample_rng(~(seed * 7919 + thread_index));
+#endif
         auto& my = counters[thread_index];
 #if CATS_CHECKED_ENABLED
         // --check-every-n-ops: run the concurrent-mode validator inside the
@@ -119,7 +127,7 @@ RunResult run_mix(S& structure, const std::vector<ThreadGroup>& groups,
 #if CATS_OBS_ENABLED
           // Sample one in 32 operations into the global latency histograms;
           // timing every operation would dominate the cost of a lookup.
-          const bool sampled = (my.ops & 31u) == 0;
+          const bool sampled = sample_rng.next_below(32) == 0;
           const auto op_begin = sampled ? std::chrono::steady_clock::now()
                                         : std::chrono::steady_clock::time_point();
           obs::GHistogram op_hist = obs::GHistogram::kUpdateLatencyNs;

@@ -51,6 +51,15 @@ class ShardedCounters {
     add(static_cast<std::size_t>(counter), n);
   }
 
+  /// Relaxed subtract on the calling thread's shard, for counters that go
+  /// up and down (live-object gauges).  An object freed on another thread
+  /// than the one that made it wraps that shard's cell below zero; the
+  /// unsigned sum over all shards is still exact modulo 2^64.
+  void sub(std::size_t counter, std::uint64_t n = 1) {
+    shards_[shard_index()]->cells[counter].fetch_sub(
+        n, std::memory_order_relaxed);
+  }
+
   /// Aggregate-on-read value of one counter.
   std::uint64_t read(std::size_t counter) const {
     std::uint64_t total = 0;

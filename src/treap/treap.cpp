@@ -13,7 +13,7 @@ namespace detail {
 
 // Shared by every BasicTreap instantiation (see treap_impl.hpp).
 cats::atomic<std::uint32_t> g_leaf_fill{kLeafCapacity};
-cats::atomic<std::size_t> g_live_nodes{0};
+constinit obs::ShardedCounters<1> g_live_nodes;
 
 }  // namespace detail
 
@@ -22,6 +22,14 @@ cats::atomic<std::size_t> g_live_nodes{0};
 // instantiations instead of re-instantiating per translation unit.
 template struct BasicTreap<Key, Value, std::less<Key>>;
 template struct BasicTreap<StrKey, Value, std::less<StrKey>>;
+
+#if !CATS_CHECKED_ENABLED
+// One cache line per descent level: the pool hands out 64-byte-aligned
+// blocks, so an Inner that fits the 64-byte class is read with one miss.
+// (Checked builds add a canary word and move Inner to the next class.)
+static_assert(sizeof(Impl::Inner) <= 64,
+              "int64 treap inner node outgrew one cache line");
+#endif
 
 void set_leaf_fill(std::uint32_t fill) {
   detail::g_leaf_fill.store(std::clamp<std::uint32_t>(fill, 2, kLeafCapacity),
@@ -33,7 +41,7 @@ std::uint32_t leaf_fill() {
 }
 
 std::size_t live_nodes() {
-  return detail::g_live_nodes.load(std::memory_order_relaxed);
+  return static_cast<std::size_t>(detail::g_live_nodes.read(0));
 }
 
 #if CATS_CHECKED_ENABLED
@@ -53,6 +61,14 @@ void corrupt_first_leaf_key(const Node* tree) {
   // Breaks the min-key cache of every ancestor; with count > 1 it may also
   // break intra-leaf ordering.
   leaf->items[0].key += 1;
+}
+
+void corrupt_pivot(const Node* tree) {
+  assert(tree != nullptr && !tree->is_leaf);
+  auto* inner = const_cast<Impl::Inner*>(Impl::as_inner(tree));
+  // Keys and both subtrees stay intact; only the descent's routing key
+  // stops matching the right subtree's minimum.
+  inner->pivot += 1;
 }
 
 void corrupt_canary(const Node* tree) {

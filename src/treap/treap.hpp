@@ -136,7 +136,7 @@ inline std::size_t leaf_count(const Node* tree) {
   return Impl::leaf_count(tree);
 }
 /// Verifies all structural invariants (ordering, balance, sizes, min/max
-/// caches, leaf fill bounds).  Returns true if they all hold.
+/// caches, inner pivots, leaf fill bounds).  Returns true if they all hold.
 inline bool check_invariants(const Node* tree) {
   return Impl::check_invariants(tree);
 }
@@ -156,6 +156,9 @@ namespace testing {
 /// min-key cache break — negative tests prove the validators fire.  Integer
 /// keys only (the corruption is arithmetic), hence outside the template.
 void corrupt_first_leaf_key(const Node* tree);
+/// Shifts the root's pivot (precondition: the root is an inner node), so
+/// descents route keys to the wrong subtree while every other cache holds.
+void corrupt_pivot(const Node* tree);
 /// Smashes the root node's canary — negative tests of the canary protocol.
 void corrupt_canary(const Node* tree);
 }  // namespace testing

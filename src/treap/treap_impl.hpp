@@ -28,7 +28,9 @@
 #include "check/check.hpp"
 #include "common/catomic.hpp"
 #include "common/function_ref.hpp"
+#include "common/padded.hpp"
 #include "common/types.hpp"
+#include "obs/counters.hpp"
 #include "obs/registry.hpp"
 
 namespace cats::treap {
@@ -43,9 +45,11 @@ namespace detail {
 /// Effective leaf fill limit and process-wide live-node counter, shared by
 /// every BasicTreap instantiation (defined in treap.cpp).  Sharing keeps the
 /// leak checks ("no treap node outlives its tree") meaningful across mixed
-/// key-type workloads, exactly as before the template conversion.
+/// key-type workloads, exactly as before the template conversion.  The
+/// counter is sharded: every node construction and destruction bumps it,
+/// and one process-wide line would bounce between all updating threads.
 extern cats::atomic<std::uint32_t> g_leaf_fill;
-extern cats::atomic<std::size_t> g_live_nodes;
+extern obs::ShardedCounters<1> g_live_nodes;
 
 /// Records one violated invariant against `report` (when non-null) and
 /// always evaluates to false so call sites read `ok = flag(...)`.
@@ -122,13 +126,13 @@ struct BasicTreap {
          std::uint8_t height_, bool is_leaf_)
         : rc(1), size(size_), min_key(min_), max_key(max_), height(height_),
           is_leaf(is_leaf_) {
-      detail::g_live_nodes.fetch_add(1, std::memory_order_relaxed);
+      detail::g_live_nodes.add(0);
       CATS_OBS_ONLY(obs::count(obs::GCounter::kTreapNodeAllocs));
     }
     ~Node() {
       CATS_CHECKED_ONLY(
           check::canary_expect_alive(check_canary, "treap node (destructor)"));
-      detail::g_live_nodes.fetch_sub(1, std::memory_order_relaxed);
+      detail::g_live_nodes.sub(0);
       CATS_OBS_ONLY(obs::count(obs::GCounter::kTreapNodeFrees));
     }
 
@@ -146,7 +150,13 @@ struct BasicTreap {
     }
   };
 
+  /// `pivot` is the right subtree's smallest key: a descent branches on
+  /// `key < pivot` and so reads only the nodes on its path, never a
+  /// child's cached bounds.  With int64 keys an Inner is exactly 64 bytes
+  /// (header, pivot, two children), and the pool's 64-byte-aligned blocks
+  /// put it on one cache line — one line per level of a descent.
   struct Inner : Node {
+    K pivot;
     const Node* left;
     const Node* right;
 
@@ -154,7 +164,7 @@ struct BasicTreap {
         : Node(l->size + r->size, l->min_key, r->max_key,
                static_cast<std::uint8_t>(std::max(l->height, r->height) + 1),
                false),
-          left(l), right(r) {}
+          pivot(r->min_key), left(l), right(r) {}
   };
 
   static const Leaf* as_leaf(const Node* n) {
@@ -382,24 +392,41 @@ struct BasicTreap {
     return sub;
   }
 
+  /// Binary search over a leaf's items.  The search's probes depend on each
+  /// other, so every line of the item array is prefetched first: the line
+  /// misses overlap instead of queueing behind one another.
   static const Item* leaf_lower_bound(const Leaf* leaf, const K& key) {
+    const auto first = reinterpret_cast<std::uintptr_t>(leaf->items);
+    const auto end =
+        reinterpret_cast<std::uintptr_t>(leaf->items + leaf->count);
+    for (std::uintptr_t line = first & ~(kCacheLine - 1); line < end;
+         line += kCacheLine) {
+      __builtin_prefetch(reinterpret_cast<const void*>(line));
+    }
     return std::lower_bound(
         leaf->items, leaf->items + leaf->count, key,
         [](const Item& item, const K& k) { return Compare{}(item.key, k); });
+  }
+
+  /// Walks from `tree` to the leaf responsible for `key`, recording each
+  /// inner node and the side taken in `path`.
+  static const Leaf* descend(const Node* tree, const K& key, PathEntry* path,
+                             std::size_t* depth) {
+    const Node* n = tree;
+    while (!n->is_leaf) {
+      const Inner* in = as_inner(n);
+      const bool left = lt(key, in->pivot);
+      path[(*depth)++] = {in, left};
+      n = left ? in->left : in->right;
+    }
+    return as_leaf(n);
   }
 
   static const Node* insert_iter(const Node* tree, const K& key,
                                  const V& value, bool* replaced) {
     PathEntry path[kMaxPath];
     std::size_t depth = 0;
-    const Node* n = tree;
-    while (!n->is_leaf) {
-      const Inner* in = as_inner(n);
-      const bool left = lt(key, in->right->min_key);
-      path[depth++] = {in, left};
-      n = left ? in->left : in->right;
-    }
-    const Leaf* leaf = as_leaf(n);
+    const Leaf* leaf = descend(tree, key, path, &depth);
     const Item* end = leaf->items + leaf->count;
     const Item* pos = leaf_lower_bound(leaf, key);
     Item buffer[kLeafCapacity + 1];
@@ -424,20 +451,7 @@ struct BasicTreap {
                                  bool* removed) {
     PathEntry path[kMaxPath];
     std::size_t depth = 0;
-    const Node* n = tree;
-    while (!n->is_leaf) {
-      const Inner* in = as_inner(n);
-      if (le(key, in->left->max_key)) {
-        path[depth++] = {in, true};
-        n = in->left;
-      } else if (le(in->right->min_key, key)) {
-        path[depth++] = {in, false};
-        n = in->right;
-      } else {
-        return incref_ret(tree);  // key falls in the gap between subtrees
-      }
-    }
-    const Leaf* leaf = as_leaf(n);
+    const Leaf* leaf = descend(tree, key, path, &depth);
     const Item* end = leaf->items + leaf->count;
     const Item* pos = leaf_lower_bound(leaf, key);
     if (pos == end || !eq(pos->key, key)) return incref_ret(tree);
@@ -465,13 +479,17 @@ struct BasicTreap {
       const Leaf* leaf = as_leaf(n);
       const Item* pos = leaf_lower_bound(leaf, key);
       const auto prefix = static_cast<std::uint32_t>(pos - leaf->items);
-      *lo_out = prefix == 0 ? nullptr : make_leaf(leaf->items, prefix);
+      // A leaf that falls wholly on one side is shared, not copied.
+      *lo_out = prefix == 0 ? nullptr
+                : prefix == leaf->count ? incref_ret(leaf)
+                                        : make_leaf(leaf->items, prefix);
       *hi_out = prefix == leaf->count ? nullptr
-                                      : make_leaf(pos, leaf->count - prefix);
+                : prefix == 0 ? incref_ret(leaf)
+                              : make_leaf(pos, leaf->count - prefix);
       return;
     }
     const Inner* in = as_inner(n);
-    if (le(key, in->left->max_key)) {
+    if (lt(key, in->pivot)) {
       const Node* a = nullptr;
       const Node* b = nullptr;
       split_rec(in->left, key, &a, &b);
@@ -495,7 +513,7 @@ struct BasicTreap {
     if (n == nullptr) return false;
     while (!n->is_leaf) {
       const Inner* in = as_inner(n);
-      n = le(key, in->left->max_key) ? in->left : in->right;
+      n = lt(key, in->pivot) ? in->left : in->right;
     }
     const Leaf* leaf = as_leaf(n);
     const Item* end = leaf->items + leaf->count;
@@ -531,8 +549,10 @@ struct BasicTreap {
     if (tree->is_leaf) {
       const Leaf* leaf = as_leaf(tree);
       const Item* end = leaf->items + leaf->count;
-      for (const Item* pos = leaf_lower_bound(leaf, lo);
-           pos != end && le(pos->key, hi); ++pos) {
+      // Every leaf after a scan's first starts inside the range: no search.
+      const Item* first =
+          le(lo, leaf->min_key) ? leaf->items : leaf_lower_bound(leaf, lo);
+      for (const Item* pos = first; pos != end && le(pos->key, hi); ++pos) {
         visit(pos->key, pos->value);
       }
       return;
@@ -695,6 +715,10 @@ struct BasicTreap {
                 "(BST order violated)",
                 p, fmt(in->left->max_key).c_str(),
                 fmt(in->right->min_key).c_str());
+    }
+    if (!eq(in->pivot, in->right->min_key)) {
+      ok = flag(report, "treap inner %p: pivot %s != right min_key %s", p,
+                fmt(in->pivot).c_str(), fmt(in->right->min_key).c_str());
     }
     if (in->size != in->left->size + in->right->size) {
       ok = flag(report, "treap inner %p: size cache %llu != %llu + %llu", p,

@@ -120,6 +120,56 @@ TEST(AllocPool, StatsAreMonotonicAndSane) {
   }
 }
 
+bool line_aligned(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p) % kClassGranularity == 0;
+}
+
+// Every pooled block starts on a cache line, whichever way it reached the
+// caller: carved from a fresh slab, adopted with a parked transfer chain,
+// or taken back from the overflow list.
+TEST(AllocPool, EveryBlockIsCacheLineAligned) {
+  if (!kPoolEnabled) GTEST_SKIP() << "pool compiled out";
+  for (std::size_t c = 0; c < kNumClasses; ++c) {
+    const std::size_t size = (c + 1) * kClassGranularity;
+    std::vector<void*> blocks;
+    // Fresh slab: allocate until this class carves one.
+    const std::uint64_t slabs = pool_stats().alloc_slab;
+    while (pool_stats().alloc_slab == slabs) {
+      ASSERT_LT(blocks.size(), 1'000'000u) << "class " << c;
+      blocks.push_back(pool_alloc(size));
+      ASSERT_TRUE(line_aligned(blocks.back())) << "class " << c;
+    }
+    // Transfer chain: park everything, then allocate it back.
+    for (void* p : blocks) pool_free(p, size);
+    flush_thread_cache();
+    const std::uint64_t adopted = pool_stats().alloc_transfer;
+    for (void*& p : blocks) {
+      p = pool_alloc(size);
+      ASSERT_TRUE(line_aligned(p)) << "class " << c;
+    }
+    EXPECT_GT(pool_stats().alloc_transfer, adopted) << "class " << c;
+    for (void* p : blocks) pool_free(p, size);
+  }
+
+  // Overflow list: a large class has a small cache cap, so freeing many
+  // blocks parks far more chains than the transfer cache has slots.  Taking
+  // them all back without a new slab drains the overflow list too.
+  constexpr std::size_t kSize = 1536;
+  constexpr int kBlocks = 2000;
+  std::vector<void*> blocks;
+  for (int i = 0; i < kBlocks; ++i) blocks.push_back(pool_alloc(kSize));
+  const PoolStats before_free = pool_stats();
+  for (void* p : blocks) pool_free(p, kSize);
+  const PoolStats parked = pool_stats();
+  ASSERT_GT(parked.overflow_push, before_free.overflow_push);
+  for (void*& p : blocks) {
+    p = pool_alloc(kSize);
+    ASSERT_TRUE(line_aligned(p));
+  }
+  EXPECT_EQ(pool_stats().alloc_slab, parked.alloc_slab);
+  for (void* p : blocks) pool_free(p, kSize);
+}
+
 TEST(AllocPool, TreeWorkloadRunsOnThePool) {
   if (!kPoolEnabled) GTEST_SKIP() << "pool compiled out";
   const PoolStats before = pool_stats();

@@ -205,6 +205,20 @@ TEST(TreapValidator, DetectsCorruptedLeafKey) {
   EXPECT_FALSE(cats::treap::check_invariants(tree.get()));
 }
 
+TEST(TreapValidator, DetectsCorruptedPivot) {
+  cats::treap::Ref tree;
+  for (Key k = 0; k < 300; ++k) {
+    tree = cats::treap::insert(tree.get(), k * 10, static_cast<Value>(k));
+  }
+  ASSERT_GT(cats::treap::leaf_count(tree.get()), 1u);
+  ASSERT_TRUE(cats::treap::validate(tree.get(), nullptr));
+  cats::treap::testing::corrupt_pivot(tree.get());
+  cats::check::Report report;
+  EXPECT_FALSE(cats::treap::validate(tree.get(), &report));
+  EXPECT_NE(report.text().find("pivot"), std::string::npos) << report.text();
+  EXPECT_FALSE(cats::treap::check_invariants(tree.get()));
+}
+
 TEST(TreapValidator, ReportsCorruptCanaryWithoutAborting) {
   // validate() is the non-fatal path: a smashed canary becomes a report
   // line, not an abort.  The corrupted tree is deliberately leaked — the

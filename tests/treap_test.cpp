@@ -210,6 +210,39 @@ TEST(TreapRefcount, NoLeakAcrossVersions) {
   EXPECT_EQ(live_nodes(), before);
 }
 
+// Removing an absent key allocates nothing: the result is the original
+// root with one more reference, wherever the key would have been.
+TEST(TreapRefcount, AbsentKeyRemoveSharesTheRoot) {
+  std::vector<Key> keys;
+  for (Key k = 0; k < 300; ++k) keys.push_back(k * 10);
+  const Ref t = build(keys);
+  ASSERT_FALSE(t.get()->is_leaf);
+  const Impl::Inner* root = Impl::as_inner(t.get());
+  const Node* first_leaf = t.get();
+  while (!first_leaf->is_leaf) first_leaf = Impl::as_inner(first_leaf)->left;
+  ASSERT_GE(Impl::as_leaf(first_leaf)->count, 2u);
+  const struct {
+    const char* where;
+    Key key;
+  } cases[] = {
+      {"below the minimum", min_key(t.get()) - 5},
+      {"above the maximum", max_key(t.get()) + 5},
+      {"between two leaves", root->left->max_key + 5},
+      {"inside a leaf", Impl::as_leaf(first_leaf)->items[0].key + 5},
+  };
+  for (const auto& c : cases) {
+    const std::size_t nodes = live_nodes();
+    const std::uint64_t refs = t.get()->rc.load(std::memory_order_relaxed);
+    bool removed = true;
+    Ref r = remove(t, c.key, &removed);
+    EXPECT_EQ(r.get(), t.get()) << c.where;
+    EXPECT_FALSE(removed) << c.where;
+    EXPECT_EQ(live_nodes(), nodes) << c.where;
+    EXPECT_EQ(t.get()->rc.load(std::memory_order_relaxed), refs + 1) << c.where;
+  }
+  EXPECT_EQ(size(t), keys.size());
+}
+
 TEST(TreapRefcount, JoinSplitNoLeak) {
   const std::size_t before = live_nodes();
   {
