@@ -1,5 +1,5 @@
 # Convenience wrappers around the cmake build.  `make lint` runs the exact
-# cats-lint gate CI enforces (token engine, all rules R0-R7, repo baseline).
+# cats-lint gate CI enforces (all rules R0-R7, repo baseline).
 
 BUILD_DIR ?= build
 PYTHON    ?= python3
@@ -7,7 +7,7 @@ PYTHON    ?= python3
 .PHONY: lint configure build test quick
 
 lint:
-	$(PYTHON) tools/catslint/catslint.py --engine token --jobs 0
+	$(PYTHON) tools/catslint/catslint.py --jobs 0
 
 configure:
 	cmake -S . -B $(BUILD_DIR) -DCMAKE_BUILD_TYPE=RelWithDebInfo

@@ -18,8 +18,8 @@
 //     double-retire and double-free into immediate diagnostics instead of
 //     silent corruption.
 //   * Retired-pointer registry — `on_retire`/`on_reclaim` bracket every
-//     EBR/hazard retirement, detect double retires across domains, and feed
-//     an at-exit leak census with per-call-site counts.
+//     EBR retirement, detect double retires across domains, and feed an
+//     at-exit leak census with per-call-site counts.
 //
 // Mirrors the CATS_OBS pattern (obs/obs.hpp): `CATS_CHECKED_ENABLED` is
 // defined 0 or 1 on every target through the cats_common interface library;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -92,37 +93,39 @@ TEST(CaRangeUpdate, AtomicUnderConcurrency) {
   EXPECT_EQ(v, 1500u);
 }
 
-// Deterministic contention: a slow range_update holds the base lock while
-// another thread's update arrives — its try_lock fails (the CA tree's
-// contention signal), the statistics jump, and a split follows.  This
-// avoids depending on preemption timing (on this host, CPU-bound threads
-// get very long timeslices and genuine try_lock failures are ~1 in 10^5).
+// Deterministic contention: a range_update holds the base lock while
+// another thread's update arrives, so that update's try_lock fails (the CA
+// tree's contention signal), the statistics jump, and a split follows.
+// This avoids depending on preemption timing.
 TEST(CaAdapt, ContendedLockAcquisitionCausesSplit) {
   Config config;
   config.high_cont = 0;  // one contended lock acquisition splits
-  config.low_cont = -1;  // floor the drift right below the threshold: on
-                         // this host timeslices are enormous, so contended
-                         // events are too rare to out-accumulate the -1/op
-                         // drift against the default -1000 floor
+  config.low_cont = -1;  // the pre-fill drifts the statistics down only to
+                         // -2, so one +cont_contrib crosses high_cont
   CaTree tree(reclaim::Domain::global(), config);
   for (Key k = 0; k < 4096; ++k) tree.insert(k, 1);
   ASSERT_EQ(tree.route_node_count(), 0u);
 
-  // The pre-fill drifts the statistics down to low_cont, so one contended
-  // acquisition is not enough to cross the split threshold: keep a
-  // range_update loop holding the base locks so most of our updates are
-  // contended and the statistics climb past it.
-  std::atomic<bool> stop{false};
-  std::thread holder([&] {
-    while (!stop.load()) {
-      tree.range_update(0, 4095, [&](Key, Value v) { return v + 1; });
-    }
-  });
-  for (int i = 0; i < 100'000 && tree.splits() == 0; ++i) {
-    tree.insert(1 + (i % 4000), 7);
+  // One-shot handshake: the holder's range_update calls f with the base
+  // lock held; f parks until our insert is on its way, then keeps the lock
+  // ~20 ms longer so the insert's try_lock fails.  A retry covers the rare
+  // case where we are descheduled past that window.
+  for (int attempt = 0; attempt < 10 && tree.splits() == 0; ++attempt) {
+    std::atomic<bool> holding{false};
+    std::atomic<bool> waiting{false};
+    std::thread holder([&] {
+      tree.range_update(0, 0, [&](Key, Value v) {
+        holding.store(true);
+        while (!waiting.load()) std::this_thread::yield();
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return v;
+      });
+    });
+    while (!holding.load()) std::this_thread::yield();
+    waiting.store(true);
+    tree.insert(1, 7);  // contended: blocks until the range_update returns
+    holder.join();
   }
-  stop.store(true);
-  holder.join();
   EXPECT_GT(tree.splits(), 0u);
   // Contents survived: 4096 original keys still present.
   EXPECT_EQ(tree.size(), 4096u);

@@ -1,15 +1,12 @@
-// Additional reclamation tests: multi-domain usage, epoch monotonicity,
-// orphan adoption on thread exit, hazard-pointer holder discipline, and
-// cross-checking both schemes against the same workload.
+// Additional EBR tests: multi-domain usage, epoch monotonicity, orphan
+// adoption on thread exit, slot recycling and pending-count bookkeeping.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "reclaim/ebr.hpp"
-#include "reclaim/hazard.hpp"
 
 namespace cats::reclaim {
 namespace {
@@ -96,52 +93,6 @@ TEST(EbrExtra, PendingCountTracksRetirements) {
   for (int i = 0; i < 10; ++i) domain.retire(new Counted());
   EXPECT_EQ(domain.pending(), base + 10);
   domain.drain();
-  EXPECT_EQ(domain.pending(), 0u);
-}
-
-TEST(HazardExtra, MultipleHoldersPerThread) {
-  HazardDomain domain;
-  cats::atomic<Counted*> p1{new Counted()};
-  cats::atomic<Counted*> p2{new Counted()};
-  const int before = Counted::live.load() - 2;
-  {
-    auto h1 = domain.make_holder();
-    auto h2 = domain.make_holder();
-    Counted* a = h1.protect(p1);
-    Counted* b = h2.protect(p2);
-    domain.retire(p1.exchange(nullptr));
-    domain.retire(p2.exchange(nullptr));
-    domain.scan_all();
-    EXPECT_EQ(Counted::live.load(), before + 2);  // both protected
-    (void)a;
-    (void)b;
-  }
-  domain.scan_all();
-  EXPECT_EQ(Counted::live.load(), before);
-}
-
-TEST(HazardExtra, ProtectFollowsMovingPointer) {
-  HazardDomain domain;
-  cats::atomic<Counted*> shared{new Counted()};
-  std::atomic<bool> stop{false};
-  std::thread swapper([&] {
-    Xoshiro256 rng(1);
-    while (!stop.load()) {
-      Counted* fresh = new Counted();
-      domain.retire(shared.exchange(fresh));
-    }
-  });
-  for (int i = 0; i < 20'000; ++i) {
-    auto holder = domain.make_holder();
-    Counted* p = holder.protect(shared);
-    // p is protected: dereferencing must be safe right now.
-    volatile auto* x = p;
-    (void)x;
-  }
-  stop.store(true);
-  swapper.join();
-  domain.retire(shared.exchange(nullptr));
-  domain.scan_all();
   EXPECT_EQ(domain.pending(), 0u);
 }
 

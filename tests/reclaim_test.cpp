@@ -1,7 +1,7 @@
-// Tests for the reclamation substrates: epoch-based reclamation and hazard
-// pointers.  These verify the safety contract the lock-free trees depend on:
-// nothing is freed while a reader could still hold a reference, and nothing
-// leaks once readers are gone.
+// Tests for the reclamation substrate, epoch-based reclamation.  These
+// verify the safety contract the lock-free trees depend on: nothing is freed
+// while a reader could still hold a reference, and nothing leaks once
+// readers are gone.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +11,6 @@
 #include "common/rng.hpp"
 #include "common/spin_barrier.hpp"
 #include "reclaim/ebr.hpp"
-#include "reclaim/hazard.hpp"
 
 namespace cats::reclaim {
 namespace {
@@ -128,90 +127,6 @@ TEST(Ebr, GlobalDomainIsUsable) {
   d.retire(new Tracked(3));
   d.drain();
   SUCCEED();
-}
-
-TEST(Hazard, ProtectPreventsFree) {
-  HazardDomain domain;
-  const int before = Tracked::live.load();
-  cats::atomic<Tracked*> shared{new Tracked(5)};
-
-  Tracked* obj = shared.load();
-  {
-    auto holder = domain.make_holder();
-    Tracked* protected_ptr = holder.protect(shared);
-    EXPECT_EQ(protected_ptr, obj);
-    shared.store(nullptr);
-    domain.retire(obj);
-    domain.scan_all();
-    EXPECT_EQ(Tracked::live.load(), before + 1);  // still protected
-    EXPECT_EQ(protected_ptr->payload, 5);
-  }
-  domain.scan_all();
-  EXPECT_EQ(Tracked::live.load(), before);
-}
-
-TEST(Hazard, TreiberStackStress) {
-  struct StackNode {
-    Tracked tracked{0};
-    int value;
-    StackNode* next;
-  };
-  struct Stack {
-    cats::atomic<StackNode*> head{nullptr};
-  };
-
-  const int before = Tracked::live.load();
-  {
-    HazardDomain domain;
-    Stack stack;
-    constexpr int kThreads = 6;
-    constexpr int kOps = 10'000;
-    std::atomic<long long> pushed_sum{0};
-    std::atomic<long long> popped_sum{0};
-    SpinBarrier barrier(kThreads);
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        Xoshiro256 rng(100 + t);
-        barrier.arrive_and_wait();
-        for (int i = 0; i < kOps; ++i) {
-          if (rng.next_below(2) == 0) {
-            auto* node = new StackNode;
-            node->value = static_cast<int>(rng.next_below(1000));
-            pushed_sum.fetch_add(node->value);
-            node->next = stack.head.load();
-            while (!stack.head.compare_exchange_weak(node->next, node)) {
-            }
-          } else {
-            auto holder = domain.make_holder();
-            while (true) {
-              StackNode* top = holder.protect(stack.head);
-              if (top == nullptr) break;
-              if (stack.head.compare_exchange_strong(top, top->next)) {
-                popped_sum.fetch_add(top->value);
-                domain.retire(top);
-                break;
-              }
-            }
-          }
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-    // Drain the stack.
-    long long rest = 0;
-    StackNode* cur = stack.head.load();
-    while (cur != nullptr) {
-      rest += cur->value;
-      StackNode* next = cur->next;
-      domain.retire(cur);  // routed through the domain deleter
-      cur = next;
-    }
-    EXPECT_EQ(pushed_sum.load(), popped_sum.load() + rest);
-    domain.scan_all();
-    EXPECT_EQ(domain.pending(), 0u);
-  }
-  EXPECT_EQ(Tracked::live.load(), before);
 }
 
 }  // namespace

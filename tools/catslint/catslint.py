@@ -5,7 +5,7 @@ concurrency contracts.
 Rules (see DESIGN.md, "Static analysis"):
   R0 dangling-annotation     every catslint annotation still earns its keep
   R1 explicit-memory-order   every atomic op names its memory order
-  R2 guard-required          shared-pointer loads happen under EBR/hazard
+  R2 guard-required          shared-pointer loads happen under an EBR guard
   R3 retire-not-delete       node types go through Domain::retire
   R4 no-blocking-in-lockfree lock-free paths never block
   R5 release-acquire-pairing per-field order matrix: release writes have
@@ -14,16 +14,11 @@ Rules (see DESIGN.md, "Static analysis"):
   R7 guard-lifetime          loaded pointers die with their guard; CAS
                              expected values come from the current guard
 
-Engines:
-  clang  precise, built on the libclang Python bindings and
-         compile_commands.json (CI installs python3-clang)
-  token  dependency-free lexical engine, authoritative for the gating
-         run so results match on machines without libclang
-  auto   clang when importable, token otherwise
+The analysis front end is a dependency-free lexical engine
+(token_engine.py), so results match on every machine with Python 3.
 
 Usage:
-  catslint.py [--src PATH ...] [--engine auto|token|clang] [--jobs N]
-              [--compdb build/compile_commands.json]
+  catslint.py [--src PATH ...] [--jobs N]
               [--baseline tools/catslint/baseline.json]
               [--disable R2,R4] [--update-baseline] [--json OUT]
 """
@@ -68,7 +63,7 @@ def _analyze_one(job):
     return token_engine.analyze_file(path, rel, cfg)
 
 
-def build_token_models(wanted, cfg, jobs):
+def build_models(wanted, cfg, jobs):
     """FileModels for `wanted`, in input (sorted-path) order regardless
     of how many workers built them."""
     work = [(p, os.path.relpath(p, REPO), cfg) for p in wanted]
@@ -83,42 +78,11 @@ def build_token_models(wanted, cfg, jobs):
         return pool.map(_analyze_one, work, chunksize=4)
 
 
-def compdb_staleness(compdb_path, wanted):
-    """Error string when compile_commands.json predates the newest
-    analyzed source, None when it is fresh."""
-    try:
-        db_mtime = os.path.getmtime(compdb_path)
-    except OSError:
-        return None  # absence is reported separately
-    newest_path, newest_mtime = None, db_mtime
-    for p in wanted:
-        try:
-            mt = os.path.getmtime(p)
-        except OSError:
-            continue
-        if mt > newest_mtime:
-            newest_path, newest_mtime = p, mt
-    if newest_path is None:
-        return None
-    return (f"compile_commands.json is older than "
-            f"{os.path.relpath(newest_path, REPO)} "
-            f"({time.strftime('%Y-%m-%d %H:%M:%S', time.localtime(db_mtime))}"
-            f" < {time.strftime('%Y-%m-%d %H:%M:%S', time.localtime(newest_mtime))}); "
-            f"the clang engine would analyze a stale build — re-run "
-            f"`cmake -B build -S .` first")
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="catslint", description=__doc__)
     ap.add_argument("--src", action="append", default=[],
                     help="file or directory to analyze (repeatable); "
                          "default: <repo>/src")
-    ap.add_argument("--engine", choices=("auto", "token", "clang"),
-                    default="auto")
-    ap.add_argument("--compdb",
-                    default=os.path.join(REPO, "build",
-                                         "compile_commands.json"),
-                    help="compile_commands.json for the clang engine")
     ap.add_argument("--config", default=os.path.join(HERE, "config.json"))
     ap.add_argument("--baseline",
                     default=os.path.join(HERE, "baseline.json"))
@@ -135,12 +99,8 @@ def main(argv=None) -> int:
                          "field, orders) as JSON to this path; input for "
                          "tools/sim_pairs_diff.py")
     ap.add_argument("--jobs", "-j", type=int, default=1,
-                    help="worker processes for the token engine "
-                         "(0 = one per CPU; output order is stable)")
-    ap.add_argument("--check-compdb", action="store_true",
-                    help="only verify compile_commands.json exists and is "
-                         "newer than every analyzed source, then exit "
-                         "(0 fresh / 2 missing or stale)")
+                    help="worker processes (0 = one per CPU; output "
+                         "order is stable)")
     ap.add_argument("--verbose", "-v", action="store_true")
     args = ap.parse_args(argv)
     t0 = time.monotonic()
@@ -154,63 +114,7 @@ def main(argv=None) -> int:
 
     src_paths = args.src or [os.path.join(REPO, "src")]
     wanted = discover_sources(src_paths)
-    wanted_rel = {os.path.relpath(p, REPO) for p in wanted}
-
-    if args.check_compdb:
-        if not os.path.exists(args.compdb):
-            print(f"catslint: compile_commands.json not found at "
-                  f"{args.compdb} (configure with "
-                  f"-DCMAKE_EXPORT_COMPILE_COMMANDS=ON)", file=sys.stderr)
-            return 2
-        stale = compdb_staleness(args.compdb, wanted)
-        if stale:
-            print(f"catslint: {stale}", file=sys.stderr)
-            return 2
-        print(f"catslint: {os.path.relpath(args.compdb, REPO)} is fresh")
-        return 0
-
-    engine = args.engine
-    if engine == "auto":
-        import clang_engine
-        engine = "clang" if clang_engine.available() else "token"
-
-    models = []
-    if engine == "clang":
-        import clang_engine
-        if not clang_engine.available():
-            print("catslint: clang engine requested but clang.cindex is "
-                  "not importable", file=sys.stderr)
-            return 2
-        if not os.path.exists(args.compdb):
-            print(f"catslint: compile_commands.json not found at "
-                  f"{args.compdb} (configure with "
-                  f"-DCMAKE_EXPORT_COMPILE_COMMANDS=ON)", file=sys.stderr)
-            return 2
-        stale = compdb_staleness(args.compdb, wanted)
-        if stale:
-            print(f"catslint: {stale}", file=sys.stderr)
-            return 2
-        by_rel = clang_engine.analyze_compdb(args.compdb, REPO, cfg)
-        models = [m for rel, m in sorted(by_rel.items())
-                  if rel in wanted_rel]
-        # Files never reached through a TU (self-contained fixtures,
-        # orphan headers) are parsed standalone; if even that fails they
-        # fall back to the token engine so nothing escapes analysis.
-        covered = {m.rel for m in models}
-        for p in wanted:
-            rel = os.path.relpath(p, REPO)
-            if rel in covered:
-                continue
-            try:
-                for m in clang_engine.analyze_file(p, REPO, cfg).values():
-                    models.append(m)
-                    covered.add(m.rel)
-            except Exception:
-                pass
-            if rel not in covered:
-                models.append(token_engine.analyze_file(p, rel, cfg))
-    else:
-        models = build_token_models(wanted, cfg, args.jobs)
+    models = build_models(wanted, cfg, args.jobs)
 
     if args.dump_atomics:
         dump = [{"file": op.file, "line": op.line, "op": op.op,
@@ -221,7 +125,7 @@ def main(argv=None) -> int:
                  "receiver_unpublished": op.receiver_unpublished}
                 for m in models for op in m.atomic_ops]
         with open(args.dump_atomics, "w", encoding="utf-8") as fh:
-            json.dump({"engine": engine, "atomics": dump}, fh, indent=2)
+            json.dump({"atomics": dump}, fh, indent=2)
             fh.write("\n")
 
     findings = rules_mod.run_all(models, cfg, enabled)
@@ -243,7 +147,6 @@ def main(argv=None) -> int:
 
     if args.json:
         report = {
-            "engine": engine,
             "files_analyzed": len(models),
             "rules": sorted(enabled),
             "new": [vars(f) for f in new],
@@ -254,11 +157,11 @@ def main(argv=None) -> int:
             fh.write("\n")
 
     elapsed = time.monotonic() - t0
-    summary = (f"catslint[{engine}]: {len(models)} file(s), "
+    summary = (f"catslint: {len(models)} file(s), "
                f"{len(new)} new finding(s), {len(old)} baselined "
                f"({elapsed:.2f}s"
                + (f", {args.jobs or os.cpu_count()} jobs)"
-                  if engine == "token" and args.jobs != 1 else ")"))
+                  if args.jobs != 1 else ")"))
     print(summary, file=sys.stderr)
     return 1 if new else 0
 

@@ -1,4 +1,4 @@
-"""Lexical front half of the fallback token engine.
+"""Lexical front half of the token engine.
 
 Turns a C++ source file into an annotation map plus a token stream with
 line numbers, after (a) extracting `// catslint:` annotations, (b) dropping

@@ -1,9 +1,8 @@
 """Shared analysis model for cats-lint.
 
-Both frontends (the libclang engine and the fallback token engine) lower a
-translation unit / source file into this engine-independent fact set; the
-rules in rules.py only ever see these types, so a rule behaves identically
-no matter which frontend produced the facts.
+The token engine (token_engine.py) lowers each source file into this fact
+set; the rules in rules.py only ever see these types, so they never touch
+C++ text directly.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ ATOMIC_OPS = {
 # Annotation directive names and whether they require a (reason).
 DIRECTIVES = {
     "seq_cst": True,        # R1: deliberate seq_cst, reason required
-    "under-guard": False,   # R2: callers guarantee an EBR guard / hazard slot
+    "under-guard": False,   # R2: callers guarantee an EBR guard
     "quiescent": True,      # R2: single-threaded context (ctor/teardown/test)
     "direct-delete": True,  # R3: delete outside the reclamation domain
     "blocking-ok": True,    # R4: deliberate blocking call, reason required
@@ -138,7 +137,7 @@ class FlowEvent:
                    store/exchange/CAS; aux = target field
       field_write  plain (non-atomic-call) member write `var->aux = ...`
       call_arg     var passed whole as an argument; aux = callee base name
-      guard_open   an EBR Guard / hazard Holder is constructed;
+      guard_open   an EBR Guard is constructed;
                    aux = generation number (unique per function)
       guard_close  that guard's scope ends; aux = generation number
       shared_load  var bound from an atomic load of a shared field;

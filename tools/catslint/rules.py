@@ -1,10 +1,10 @@
-"""The cats-lint rules, evaluated over the engine-independent FileModel.
+"""The cats-lint rules, evaluated over the FileModel.
 
 R0 dangling-annotation    — every `// catslint:` annotation must still
                             suppress (or justify) a live finding.
 R1 explicit-memory-order  — no defaulted (or unexplained explicit) seq_cst.
 R2 guard-required         — shared-atomic pointer loads only in functions
-                            proven to run under an EBR guard / hazard slot
+                            proven to run under an EBR guard
                             (directly, by annotation, or because every
                             caller chain in the TU is proven).
 R3 retire-not-delete      — no direct delete of reclaimable node types
@@ -20,7 +20,7 @@ R5 release-acquire-pairing— per-field order matrix over every atomic site
 R6 immutable-after-publish— no non-atomic field write on a node reachable
                             after the node escaped via an atomic store/CAS
                             (intra-function flow + call-graph closure).
-R7 guard-lifetime         — a pointer loaded under a Guard/Holder must not
+R7 guard-lifetime         — a pointer loaded under a Guard must not
                             flow past the guard's scope, and a CAS expected
                             value must come from the current guard
                             generation (ABA discipline).
@@ -221,7 +221,7 @@ def check_r2(model: FileModel, cfg: dict) -> List[Finding]:
         out.append(_mk(
             model, "R2", line,
             f"{f.name}() loads a shared atomic pointer but neither it nor "
-            f"every in-TU caller chain holds an EBR Guard/hazard slot; "
+            f"every in-TU caller chain holds an EBR Guard; "
             f"add a guard or annotate the function "
             f"`// catslint: under-guard` / `// catslint: "
             f"quiescent(<reason>)`"))

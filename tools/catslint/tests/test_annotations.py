@@ -12,9 +12,7 @@ Locks in the parsing and scoping semantics the rules rely on:
   - the R0 interaction (a redundant annotation on an already-suppressed
     line is itself reported as dangling).
 
-Token-engine specific (the tests build FileModels directly); the clang
-engine shares extract_annotations, so the grammar itself is engine
-independent.
+The tests build FileModels directly through the token engine.
 """
 
 import json

@@ -6,9 +6,7 @@ and the same run with the rule disabled must yield none (so a silently
 broken or skipped check fails this suite, not just the fixture).  The
 corrected twin of each fixture must pass clean.
 
-Runs under pytest or plain `python3 test_catslint.py` (unittest), against
-the engine named by CATSLINT_TEST_ENGINE (default: token; CI also runs
-clang).
+Runs under pytest or plain `python3 test_catslint.py` (unittest).
 """
 
 import json
@@ -21,12 +19,10 @@ import unittest
 HERE = os.path.dirname(os.path.abspath(__file__))
 TOOL = os.path.join(HERE, os.pardir, "catslint.py")
 FIXTURES = os.path.join(HERE, "fixtures")
-ENGINE = os.environ.get("CATSLINT_TEST_ENGINE", "token")
 
 
 def run_lint(*args):
-    cmd = [sys.executable, TOOL, "--engine", ENGINE, "--no-baseline",
-           *args]
+    cmd = [sys.executable, TOOL, "--no-baseline", *args]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
     return proc
 
@@ -156,7 +152,7 @@ class Baseline(unittest.TestCase):
             base = os.path.join(tmp, "baseline.json")
             fix = os.path.join(FIXTURES, "r1_fire.cpp")
             up = subprocess.run(
-                [sys.executable, TOOL, "--engine", ENGINE, "--src", fix,
+                [sys.executable, TOOL, "--src", fix,
                  "--baseline", base, "--update-baseline"],
                 capture_output=True, text=True, timeout=300)
             self.assertEqual(up.returncode, 0, up.stderr)
@@ -164,8 +160,7 @@ class Baseline(unittest.TestCase):
                 data = json.load(f)
             self.assertGreaterEqual(len(data["findings"]), 2)
             gated = subprocess.run(
-                [sys.executable, TOOL, "--engine", ENGINE, "--src", fix,
-                 "--baseline", base],
+                [sys.executable, TOOL, "--src", fix, "--baseline", base],
                 capture_output=True, text=True, timeout=300)
             self.assertEqual(gated.returncode, 0,
                              f"baselined findings must not fail the "
@@ -190,8 +185,6 @@ class ParallelDeterminism(unittest.TestCase):
         stdout proves the pool preserves file order and the global rules
         see the same model sequence.
         """
-        if ENGINE != "token":
-            self.skipTest("--jobs parallelizes the token engine only")
         serial = run_lint("--src", FIXTURES, "--jobs", "1")
         pooled = run_lint("--src", FIXTURES, "--jobs", "4")
         self.assertEqual(serial.returncode, pooled.returncode)

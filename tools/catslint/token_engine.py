@@ -1,4 +1,4 @@
-"""Fallback frontend: lowers C++ source to the FileModel via lexical
+"""The cats-lint frontend: lowers C++ source to the FileModel via lexical
 analysis (no compiler needed).
 
 Scope and honesty: this engine understands the subset of C++ this repo is
@@ -7,8 +7,7 @@ definitions (templates included), constructor initializer lists, lambdas
 (attributed to the enclosing function).  It resolves delete-target types
 from local declarations, parameters, `new` expressions and casts, and it
 builds a per-file call graph by callee base name.  Anything it cannot
-resolve it leaves unflagged (conservative); the libclang engine, when
-available, resolves those cases with real type information.
+resolve it leaves unflagged (conservative).
 """
 
 from __future__ import annotations

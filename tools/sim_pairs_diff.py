@@ -16,7 +16,7 @@ showed up in a pair usually means "not covered by a scenario", not a
 bug.  The interesting directions are:
 
   * observed pair whose store site is not a static release-side write —
-    either the static matrix is stale or an engine missed a site;
+    either the static matrix is stale or catslint missed a site;
   * observed pair whose store site catslint thinks is relaxed — a real
     disagreement worth a look;
   * static release-side writes never observed pairing — a coverage list
