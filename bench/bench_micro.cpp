@@ -8,7 +8,9 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <iostream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -212,48 +214,45 @@ void run_metrics_demo(const harness::Options& opt, double duration) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The metrics demo's flags are ours, not google-benchmark's; pull them
-  // out before Initialize (ReportUnrecognizedArguments rejects unknowns).
+  // google-benchmark takes the --benchmark_* flags; the rest are
+  // --demo-duration and the harness flags of the metrics demo.
   cats::harness::Options opt;
   opt.monitor_interval_ms = 50;
   opt.metrics_out = "bench_micro_metrics.json";
   opt.series_out = "bench_micro_series.csv";
   double demo_duration = 0.3;
+  std::vector<char*> ours = {argv[0]};
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> const char* {
-      return arg.compare(0, std::strlen(prefix), prefix) == 0
-                 ? arg.c_str() + std::strlen(prefix)
-                 : nullptr;
-    };
-    if (const char* v = value("--monitor-interval-ms=")) {
-      opt.monitor_interval_ms = std::atoi(v);
-    } else if (const char* v = value("--monitor-port=")) {
-      opt.monitor_port = std::atoi(v);
-    } else if (const char* v = value("--metrics-out=")) {
-      opt.metrics_out = v;
-    } else if (const char* v = value("--series-out=")) {
-      opt.series_out = v;
-    } else if (const char* v = value("--trace-out=")) {
-      // Same contract as the strict CLI (harness/cli.hpp): a trace request
-      // against a build with no recorder is an error, not a no-op.
-      if (!cats::obs::kEnabled) {
-        std::fprintf(
-            stderr,
-            "--trace-out: flight recorder compiled out (CATS_OBS=OFF)\n");
+    if (arg.starts_with("--benchmark_")) {
+      argv[kept++] = argv[i];
+    } else if (arg.starts_with("--demo-duration=")) {
+      const char* v = argv[i] + std::strlen("--demo-duration=");
+      if (!cats::harness::detail::parse_double(v, &demo_duration) ||
+          demo_duration < 0) {
+        std::fprintf(stderr, "--demo-duration: expected SEC >= 0, got '%s'\n",
+                     v);
         return 2;
       }
-      opt.trace_out = v;
-    } else if (const char* v = value("--trace-sample-shift=")) {
-      opt.trace_sample_shift = std::atoi(v);
-    } else if (const char* v = value("--demo-duration=")) {
-      demo_duration = std::atof(v);
     } else {
-      argv[kept++] = argv[i];
+      ours.push_back(argv[i]);
     }
   }
   argc = kept;
+  std::string error;
+  bool help = false;
+  if (!cats::harness::Options::parse_into(static_cast<int>(ours.size()),
+                                          ours.data(), opt, error, &help)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 2;
+  }
+  if (help) {
+    std::printf("usage: bench_micro [--benchmark_*] [--demo-duration=SEC] "
+                "[options]\n%s\n",
+                cats::harness::Options::usage());
+    return 0;
+  }
 
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

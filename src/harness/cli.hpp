@@ -1,7 +1,7 @@
-// Minimal command-line options shared by the figure/table benchmark
-// binaries.  Defaults are scaled down from the paper's 10-second,
-// 10^6-key runs so the whole suite finishes in CI time; pass --paper for
-// the full-scale parameters.
+// Command-line options shared by bench_paper and the bench_micro metrics
+// demo.  Defaults are scaled down from the paper's 10-second, 10^6-key
+// runs so the whole suite finishes in CI time; pass --paper for the
+// full-scale parameters.
 #pragma once
 
 #include <atomic>
@@ -20,9 +20,9 @@
 namespace cats::harness {
 
 /// Process-wide period of the in-workload tree validator (0 = disabled).
-/// Set by Options::parse from --check-every-n-ops; read by run_mix workers.
-/// Only effective in CATS_CHECKED builds — the validator is compiled out
-/// otherwise.
+/// Set by Options::parse_into from --check-every-n-ops; read by run_mix
+/// workers.  Only effective in CATS_CHECKED builds — the validator is
+/// compiled out otherwise.
 inline std::atomic<std::uint64_t> g_check_every_n_ops{0};
 
 namespace detail {
@@ -75,11 +75,12 @@ struct Options {
   std::vector<int> threads = {1, 2, 4, 8};
   /// Emit machine-readable CSV instead of the table layout.
   bool csv = false;
-  /// Run only the structure with this name (empty = all).
+  /// Run only the structure with this name (empty = all); bench_paper
+  /// rejects a name outside the selected scenario's roster.
   std::string only;
   /// Key type driven through the structures: "int" (the fast path) or
-  /// "str" (StrKey instantiations via harness::StrKeyCodec).  Binaries
-  /// without a string-keyed roster reject "str" themselves.
+  /// "str" (StrKey instantiations via harness::StrKeyCodec).  Scenarios
+  /// without a string-keyed roster reject "str".
   std::string key_type = "int";
   /// LFCA heuristic overrides (paper defaults when untouched).  On hosts
   /// with few hardware threads, genuine CAS contention is rare and the
@@ -116,10 +117,11 @@ struct Options {
   /// `error`) on the first unknown flag, duplicate flag, malformed numeric
   /// value or out-of-range value — instead of silently taking the last
   /// occurrence or atoi's garbage-to-zero parse.  `--help` is reported via
-  /// `help_requested` so the caller owns the exit.  Exposed separately from
-  /// parse() for unit testing (harness_test.cpp).
+  /// `help_requested` so the caller owns the exit.
   static bool parse_into(int argc, char** argv, Options& opt,
                          std::string& error, bool* help_requested = nullptr) {
+    constexpr const char* kNoRecorder =
+        ": flight recorder compiled out (CATS_OBS=OFF)";
     std::vector<std::string> seen;
     if (help_requested != nullptr) *help_requested = false;
     auto fail = [&](const std::string& msg) {
@@ -130,6 +132,9 @@ struct Options {
       const std::string arg = argv[i];
       const std::size_t eq = arg.find('=');
       const std::string name = arg.substr(0, eq);
+      auto expected = [&](const char* what, const std::string& got) {
+        return fail(name + ": expected " + what + ", got '" + got + "'");
+      };
       auto value = [&](const char* prefix) -> const char* {
         return arg.compare(0, std::strlen(prefix), prefix) == 0
                    ? arg.c_str() + std::strlen(prefix)
@@ -148,19 +153,16 @@ struct Options {
       seen.push_back(name);
       if (const char* v = value("--duration=")) {
         if (!detail::parse_double(v, &opt.duration) || opt.duration <= 0) {
-          return fail("--duration: expected a positive number, got '" +
-                      std::string(v) + "'");
+          return expected("a positive number", v);
         }
       } else if (const char* v = value("--runs=")) {
         if (!detail::parse_int(v, &opt.runs) || opt.runs < 1) {
-          return fail("--runs: expected a positive integer, got '" +
-                      std::string(v) + "'");
+          return expected("a positive integer", v);
         }
       } else if (const char* v = value("--size=")) {
         long long size = 0;
         if (!detail::parse_i64(v, &size) || size < 1) {
-          return fail("--size: expected a positive integer, got '" +
-                      std::string(v) + "'");
+          return expected("a positive integer", v);
         }
         opt.size = size;
       } else if (const char* v = value("--threads=")) {
@@ -172,8 +174,7 @@ struct Options {
           const std::string item = list.substr(pos, comma - pos);
           int n = 0;
           if (!detail::parse_int(item.c_str(), &n) || n < 1) {
-            return fail("--threads: expected positive integers, got '" +
-                        item + "'");
+            return expected("positive integers", item);
           }
           opt.threads.push_back(n);
           if (comma == std::string::npos) break;
@@ -185,24 +186,20 @@ struct Options {
         opt.only = v;
       } else if (const char* v = value("--key-type=")) {
         if (std::strcmp(v, "int") != 0 && std::strcmp(v, "str") != 0) {
-          return fail("--key-type: expected 'int' or 'str', got '" +
-                      std::string(v) + "'");
+          return expected("'int' or 'str'", v);
         }
         opt.key_type = v;
       } else if (const char* v = value("--high-cont=")) {
         if (!detail::parse_int(v, &opt.high_cont)) {
-          return fail("--high-cont: expected an integer, got '" +
-                      std::string(v) + "'");
+          return expected("an integer", v);
         }
       } else if (const char* v = value("--low-cont=")) {
         if (!detail::parse_int(v, &opt.low_cont)) {
-          return fail("--low-cont: expected an integer, got '" +
-                      std::string(v) + "'");
+          return expected("an integer", v);
         }
       } else if (const char* v = value("--cont-contrib=")) {
         if (!detail::parse_int(v, &opt.cont_contrib)) {
-          return fail("--cont-contrib: expected an integer, got '" +
-                      std::string(v) + "'");
+          return expected("an integer", v);
         }
       } else if (arg == "--sensitive") {
         opt.high_cont = 0;
@@ -210,16 +207,12 @@ struct Options {
       } else if (const char* v = value("--monitor-interval-ms=")) {
         if (!detail::parse_int(v, &opt.monitor_interval_ms) ||
             opt.monitor_interval_ms < 0) {
-          return fail(
-              "--monitor-interval-ms: expected a non-negative integer, "
-              "got '" +
-              std::string(v) + "'");
+          return expected("a non-negative integer", v);
         }
       } else if (const char* v = value("--monitor-port=")) {
         if (!detail::parse_int(v, &opt.monitor_port) ||
             opt.monitor_port < -1 || opt.monitor_port > 65535) {
-          return fail("--monitor-port: expected -1..65535, got '" +
-                      std::string(v) + "'");
+          return expected("-1..65535", v);
         }
       } else if (const char* v = value("--metrics-out=")) {
         opt.metrics_out = v;
@@ -227,10 +220,7 @@ struct Options {
         opt.series_out = v;
       } else if (const char* v = value("--check-every-n-ops=")) {
         if (!detail::parse_u64(v, &opt.check_every_n_ops)) {
-          return fail(
-              "--check-every-n-ops: expected a non-negative integer, "
-              "got '" +
-              std::string(v) + "'");
+          return expected("a non-negative integer", v);
         }
         g_check_every_n_ops.store(opt.check_every_n_ops,
                                   std::memory_order_relaxed);
@@ -241,27 +231,19 @@ struct Options {
         }
       } else if (const char* v = value("--trace-out=")) {
         if (*v == '\0') {
-          return fail("--trace-out: expected a file path, got ''");
+          return expected("a file path", v);
         }
-        if (!obs::kEnabled) {
-          // Unlike --check-every-n-ops (a validator that can degrade to a
-          // warning), a trace request with no recorder would produce
-          // nothing at all — refuse instead of no-opping.
-          return fail(
-              "--trace-out: flight recorder compiled out (CATS_OBS=OFF)");
-        }
+        // Unlike --check-every-n-ops (a validator that can degrade to a
+        // warning), a trace request with no recorder would produce nothing
+        // at all — refuse instead of no-opping.
+        if (!obs::kEnabled) return fail(name + kNoRecorder);
         opt.trace_out = v;
       } else if (const char* v = value("--trace-sample-shift=")) {
         if (!detail::parse_int(v, &opt.trace_sample_shift) ||
             opt.trace_sample_shift < 0 || opt.trace_sample_shift > 20) {
-          return fail("--trace-sample-shift: expected 0..20, got '" +
-                      std::string(v) + "'");
+          return expected("0..20", v);
         }
-        if (!obs::kEnabled) {
-          return fail(
-              "--trace-sample-shift: flight recorder compiled out "
-              "(CATS_OBS=OFF)");
-        }
+        if (!obs::kEnabled) return fail(name + kNoRecorder);
       } else if (arg == "--paper") {
         // The paper's configuration (§7): S = 10^6, 10 s runs, 3 runs
         // averaged, thread counts up to 128.
@@ -276,26 +258,14 @@ struct Options {
     return true;
   }
 
-  static Options parse(int argc, char** argv) {
-    Options opt;
-    std::string error;
-    bool help = false;
-    if (!parse_into(argc, argv, opt, error, &help)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      std::exit(2);
-    }
-    if (help) {
-      std::printf(
-          "options: --duration=SEC --runs=N --size=S --threads=a,b,c "
-          "--csv --only=NAME --key-type=int|str --paper --sensitive "
-          "--high-cont=X "
-          "--low-cont=X --cont-contrib=X --monitor-interval-ms=MS "
-          "--monitor-port=P --metrics-out=FILE --series-out=FILE "
-          "--check-every-n-ops=N --trace-out=FILE "
-          "--trace-sample-shift=N\n");
-      std::exit(0);
-    }
-    return opt;
+  /// One-line summary of every flag parse_into() accepts, for --help.
+  static const char* usage() {
+    return "options: --duration=SEC --runs=N --size=S --threads=a,b,c "
+           "--csv --only=NAME --key-type=int|str --paper --sensitive "
+           "--high-cont=X --low-cont=X --cont-contrib=X "
+           "--monitor-interval-ms=MS --monitor-port=P --metrics-out=FILE "
+           "--series-out=FILE --check-every-n-ops=N --trace-out=FILE "
+           "--trace-sample-shift=N";
   }
 };
 

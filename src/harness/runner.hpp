@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -33,18 +34,48 @@
 #include "common/types.hpp"
 #include "harness/cli.hpp"
 #include "harness/workload.hpp"
+#include "lfca/config.hpp"
 #include "obs/export.hpp"
 #include "obs/flight/flight.hpp"
 #include "obs/flight/perf_counters.hpp"
 #include "obs/http_server.hpp"
 #include "obs/monitor.hpp"
 #include "obs/registry.hpp"
+#include "reclaim/ebr.hpp"
 
 #if CATS_OBS_ENABLED
 #include "obs/flight/perfetto.hpp"
 #endif
 
 namespace cats::harness {
+
+/// The LFCA heuristic constants selected by --high-cont, --low-cont,
+/// --cont-contrib and --sensitive; every other constant keeps the paper's
+/// value.
+inline lfca::Config lfca_config(const Options& opt) {
+  lfca::Config config;
+  config.high_cont = opt.high_cont;
+  config.low_cont = opt.low_cont;
+  config.cont_contrib = opt.cont_contrib;
+  return config;
+}
+
+/// Any LFCA tree instantiation (either container, either key type).
+template <class S>
+concept LfcaTreeType = requires(const S& s) {
+  { s.config() } -> std::same_as<const lfca::Config&>;
+};
+
+/// Builds a structure for a benchmark run on the global EBR domain.  LFCA
+/// trees get `config`; the baselines have no such heuristic.
+template <class S>
+std::unique_ptr<S> make_structure(const lfca::Config& config) {
+  if constexpr (LfcaTreeType<S>) {
+    return std::make_unique<S>(reclaim::Domain::global(), config);
+  } else {
+    return std::make_unique<S>();
+  }
+}
 
 /// Inserts random keys from [0, key_range) until the structure holds
 /// exactly key_range/2 items (the paper's pre-fill).  `Codec` maps the
@@ -79,11 +110,14 @@ struct alignas(kCacheLine) ThreadCounters {
 
 /// Runs the groups' mixes for `duration_seconds` against `structure`
 /// (already pre-filled) and returns the aggregated counts.  `Codec` must
-/// match the one used to prefill.
+/// match the one used to prefill.  With `during`, the calling thread runs
+/// it once all workers are going, and the run lasts until it returns
+/// instead of for `duration_seconds`.
 template <class S, class Codec = IntKeyCodec>
 RunResult run_mix(S& structure, const std::vector<ThreadGroup>& groups,
                   Key key_range, double duration_seconds,
-                  std::uint64_t seed = 1) {
+                  std::uint64_t seed = 1,
+                  const std::function<void()>& during = {}) {
   int total_threads = 0;
   for (const auto& group : groups) total_threads += group.threads;
 
@@ -190,7 +224,7 @@ RunResult run_mix(S& structure, const std::vector<ThreadGroup>& groups,
           ++my.ops;
           // Feed the process-wide op counter so a live monitor can derive
           // ops/sec; one relaxed sharded add, same cost class as the other
-          // per-op hooks (bench_obs measures the total within noise).
+          // per-op hooks (`bench_paper obs` measures the total within noise).
           CATS_OBS_ONLY(obs::count(obs::GCounter::kHarnessOps));
 #if CATS_CHECKED_ENABLED
           if (check_period != 0 && my.ops % check_period == 0) {
@@ -215,7 +249,12 @@ RunResult run_mix(S& structure, const std::vector<ThreadGroup>& groups,
 
   barrier.arrive_and_wait();
   const auto start = std::chrono::steady_clock::now();
-  std::this_thread::sleep_for(std::chrono::duration<double>(duration_seconds));
+  if (during) {
+    during();
+  } else {
+    std::this_thread::sleep_for(
+        std::chrono::duration<double>(duration_seconds));
+  }
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : threads) t.join();
   const auto end = std::chrono::steady_clock::now();
@@ -252,7 +291,7 @@ RunResult run_mix(S& structure, int threads, const Mix& mix, Key key_range,
 // /stats.json, /topology.json and /healthz while the run is under load.
 // finish() (or the destructor) stops both and writes the final snapshot
 // (--metrics-out) and the rate time-series (--series-out) — the single
-// code path every bench binary uses for metrics dumping.
+// code path both bench binaries use for metrics dumping.
 //
 // Lifetime: the sources capture the structure, so a MonitoredRun must be
 // declared after (destroyed before) the structure and its domain.
@@ -291,31 +330,21 @@ class MonitoredRun {
       server_ = std::make_unique<obs::HttpServer>(opt.monitor_port);
       server_->handle("/healthz", "text/plain",
                       [] { return std::string("ok\n"); });
-      server_->handle("/metrics", "text/plain; version=0.0.4",
-                      [src = stats_] {
-                        std::ostringstream os;
-                        obs::write_prometheus(os, src());
-                        return os.str();
-                      });
-      server_->handle("/stats.json", "application/json", [src = stats_] {
-        std::ostringstream os;
-        obs::write_json(os, src());
-        return os.str();
-      });
+      serve("/metrics", "text/plain; version=0.0.4",
+            [src = stats_](std::ostream& os) {
+              obs::write_prometheus(os, src());
+            });
+      serve("/stats.json", "application/json",
+            [src = stats_](std::ostream& os) { obs::write_json(os, src()); });
       if (topology) {
-        server_->handle("/topology.json", "application/json",
-                        [src = topology] {
-                          std::ostringstream os;
-                          obs::write_topology_json(os, src());
-                          return os.str();
-                        });
+        serve("/topology.json", "application/json",
+              [src = topology](std::ostream& os) {
+                obs::write_topology_json(os, src());
+              });
       }
       if (flight_enabled_) {
-        server_->handle("/trace.json", "application/json", [] {
-          std::ostringstream os;
-          obs::flight::write_chrome_trace(os);
-          return os.str();
-        });
+        serve("/trace.json", "application/json",
+              [](std::ostream& os) { obs::flight::write_chrome_trace(os); });
       }
       if (server_->start()) {
         std::fprintf(stderr,
@@ -333,7 +362,6 @@ class MonitoredRun {
 
   /// Bound HTTP port, or -1 when no endpoint is up.
   int port() const { return server_ ? server_->port() : -1; }
-  obs::Monitor* monitor() { return monitor_.get(); }
 
   /// Stops the endpoint and the sampler and writes the output files.
   /// Idempotent; also run by the destructor.
@@ -344,25 +372,13 @@ class MonitoredRun {
     if (monitor_) monitor_->stop();
     if (!trace_path_.empty()) {
       std::ofstream out(trace_path_);
-      bool ok = static_cast<bool>(out);
-      if (ok) {
-        obs::flight::write_chrome_trace(out);
-        out << '\n';
-        ok = static_cast<bool>(out);
-      }
-      if (ok) {
-        std::fprintf(stderr,
-                     "monitor: trace written to %s (%llu spans recorded, "
-                     "%llu overwritten)\n",
-                     trace_path_.c_str(),
-                     static_cast<unsigned long long>(
-                         obs::flight::Recorder::instance().recorded()),
-                     static_cast<unsigned long long>(
-                         obs::flight::Recorder::instance().dropped()));
-      } else {
-        std::fprintf(stderr, "monitor: failed to write %s\n",
-                     trace_path_.c_str());
-      }
+      if (out) obs::flight::write_chrome_trace(out);
+      out << '\n';
+      const auto& recorder = obs::flight::Recorder::instance();
+      report(static_cast<bool>(out), trace_path_,
+             "trace (" + std::to_string(recorder.recorded()) +
+                 " spans recorded, " + std::to_string(recorder.dropped()) +
+                 " overwritten)");
     }
     if (flight_enabled_) obs::flight::Recorder::instance().disable();
     if (!metrics_path_.empty()) {
@@ -370,26 +386,36 @@ class MonitoredRun {
       // Per-phase hardware counters ride in the final snapshot only: they
       // are gathered at phase end, so the live monitor never sees them.
       obs::flight::append_perf_phases(snap);
-      if (obs::write_json_file(metrics_path_, snap)) {
-        std::fprintf(stderr, "monitor: metrics written to %s\n",
-                     metrics_path_.c_str());
-      } else {
-        std::fprintf(stderr, "monitor: failed to write %s\n",
-                     metrics_path_.c_str());
-      }
+      report(obs::write_json_file(metrics_path_, snap), metrics_path_,
+             "metrics");
     }
     if (monitor_ && !series_path_.empty()) {
-      if (monitor_->write_csv_file(series_path_)) {
-        std::fprintf(stderr, "monitor: time series written to %s\n",
-                     series_path_.c_str());
-      } else {
-        std::fprintf(stderr, "monitor: failed to write %s\n",
-                     series_path_.c_str());
-      }
+      report(monitor_->write_csv_file(series_path_), series_path_,
+             "time series");
     }
   }
 
  private:
+  /// Serves what `write` streams at `path`.
+  template <class Write>
+  void serve(const char* path, const char* type, Write write) {
+    server_->handle(path, type, [write] {
+      std::ostringstream os;
+      write(os);
+      return os.str();
+    });
+  }
+
+  static void report(bool ok, const std::string& path,
+                     const std::string& what) {
+    if (ok) {
+      std::fprintf(stderr, "monitor: %s written to %s\n", what.c_str(),
+                   path.c_str());
+    } else {
+      std::fprintf(stderr, "monitor: failed to write %s\n", path.c_str());
+    }
+  }
+
   StatsSource stats_;
   std::string metrics_path_;
   std::string series_path_;
@@ -412,6 +438,11 @@ MonitoredRun::StatsSource tree_stats_source(Tree& tree,
     tree.collect_topology().append_to(snap, prefix + "topo_");
     return snap;
   };
+}
+
+/// Source for a run with no single tree to watch: the global registry.
+inline MonitoredRun::StatsSource global_stats_source() {
+  return [] { return obs::global_snapshot(); };
 }
 
 template <class Tree>
@@ -440,6 +471,7 @@ class MonitoredRun {
   void finish() {}
 };
 
+inline MonitoredRun::StatsSource global_stats_source() { return 0; }
 template <class Tree>
 MonitoredRun::StatsSource tree_stats_source(Tree&,
                                             const std::string& = "lfca_") {

@@ -27,7 +27,6 @@ namespace cats::harness {
 // same scenarios drive both the integer fast path and the string-key
 // instantiations.  A codec provides:
 //   StructKey        — the structure's key type
-//   kName            — CLI name (--key-type=...)
 //   encode(Key)      — order-preserving mapping from the generator's keys
 //   weight(StructKey)— cheap integer digest, summed by range queries so the
 //                      scan cannot be optimized away
@@ -36,7 +35,6 @@ namespace cats::harness {
 /// Identity codec for the integer fast path.
 struct IntKeyCodec {
   using StructKey = Key;
-  static constexpr const char* kName = "int";
   static Key encode(Key k) { return k; }
   static std::uint64_t weight(Key k) { return static_cast<std::uint64_t>(k); }
 };
@@ -47,7 +45,6 @@ struct IntKeyCodec {
 /// intern table (common/strkey.hpp).
 struct StrKeyCodec {
   using StructKey = StrKey;
-  static constexpr const char* kName = "str";
   static StrKey encode(Key k) {
     // 24 bytes fit any int64 rendering; harness keys stay in [0, S), so
     // the result is always exactly 14 digits and stays inline.

@@ -121,8 +121,8 @@ TEST(Runner, FixedRangeSizesAreExact) {
 
 // --- Command-line parsing (Options::parse_into). -----------------------------
 //
-// parse() exits the process on error, so the tests drive the underlying
-// parse_into(), which reports through a (success, message) pair instead.
+// The binaries exit on a bad flag, so the tests drive parse_into(), which
+// reports through a (success, message) pair instead.
 
 struct ParseResult {
   bool ok = false;
@@ -310,6 +310,15 @@ TEST(Cli, PresetsStillApply) {
   ASSERT_TRUE(sens.ok) << sens.error;
   EXPECT_EQ(sens.opt.high_cont, 0);
   EXPECT_EQ(sens.opt.low_cont, -100);
+}
+
+// The heuristic flags reach the tree a benchmark builds, not just Options.
+TEST(Cli, SensitiveReachesTheBuiltTree) {
+  const ParseResult sens = parse_args({"--sensitive"});
+  ASSERT_TRUE(sens.ok) << sens.error;
+  const auto tree = make_structure<lfca::LfcaTree>(lfca_config(sens.opt));
+  EXPECT_EQ(tree->config().high_cont, 0);
+  EXPECT_EQ(tree->config().low_cont, -100);
 }
 
 }  // namespace
