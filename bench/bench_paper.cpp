@@ -450,7 +450,7 @@ void latency(const Options& opt, lfca::LfcaTree*) {
 }
 
 // Observability overhead: the Fig. 9b mix on the LFCA tree with the
-// flight recorder off (the default: one relaxed load and a branch per op),
+// flight recorder off (one relaxed load and a branch per op),
 // enabled but unsampled (shift 20, ~1 op in 10^6) and sampled at a
 // tracing-grade rate (shift 6).  Comparing a CATS_OBS=ON and an OFF build
 // covers the compile-time axis; the ON build's first two series must stay
@@ -473,7 +473,7 @@ void obs_overhead(const Options& opt, lfca::LfcaTree*) {
     set_shift(shift);
     sweep<lfca::LfcaTree>(figure, mode, opt, mix);
   }
-  set_shift(shift_before);  // as --trace-out/--monitor-port left it
+  set_shift(shift_before);  // as MonitoredRun left it
   // Hardware counters of every measure phase so far: cycles/IPC where the
   // kernel permits, the reason where it does not — never a failure.
   obs::flight::PerfCounts m{.unavailable_reason = "no samples"};

@@ -105,13 +105,13 @@ struct Options {
   /// with the diagnostic report.
   std::uint64_t check_every_n_ops = 0;
   /// Where the flight-recorder timeline (Chrome/Perfetto trace-event JSON)
-  /// is written; empty = flight recorder stays off unless the monitor
-  /// endpoint is up.  Hard error in CATS_OBS=OFF builds — a silently empty
-  /// trace is worse than a refused run.
+  /// is written; empty = nowhere.  Hard error in CATS_OBS=OFF builds — a
+  /// silently empty trace is worse than a refused run.
   std::string trace_out;
-  /// Flight-recorder sampling: record every 2^shift-th operation per
-  /// thread (0 = every op, default 10 = 1/1024).
-  int trace_sample_shift = 10;
+  /// Flight-recorder sampling under MonitoredRun: a random mean of 1 op in
+  /// 2^shift per thread becomes a span and a latency-histogram sample
+  /// (0 = every op, default 5 = 1/32; 10 gives a trace a longer window).
+  int trace_sample_shift = 5;
 
   /// Parses argv into `opt`.  Returns false (with a one-line message in
   /// `error`) on the first unknown flag, duplicate flag, malformed numeric
@@ -265,7 +265,7 @@ struct Options {
            "--high-cont=X --low-cont=X --cont-contrib=X "
            "--monitor-interval-ms=MS --monitor-port=P --metrics-out=FILE "
            "--series-out=FILE --check-every-n-ops=N --trace-out=FILE "
-           "--trace-sample-shift=N";
+           "--trace-sample-shift=N (mean 1 op in 2^N sampled, default 5)";
   }
 };
 

@@ -135,14 +135,6 @@ RunResult run_mix(S& structure, const std::vector<ThreadGroup>& groups,
       threads.emplace_back([&, thread_index, g] {
         const Mix mix = groups[g].mix;
         Xoshiro256 rng(seed * 7919 + thread_index);
-#if CATS_OBS_ENABLED
-        // Latency sampling draws from its own stream, so the op sequence
-        // does not depend on it.  It is random rather than every 32nd op:
-        // EBR attempts an epoch advance and batch free on every 64th
-        // retirement of a thread, and a fixed stride locks onto or misses
-        // that op in every sample.
-        Xoshiro256 sample_rng(~(seed * 7919 + thread_index));
-#endif
         auto& my = counters[thread_index];
 #if CATS_CHECKED_ENABLED
         // --check-every-n-ops: run the concurrent-mode validator inside the
@@ -158,16 +150,8 @@ RunResult run_mix(S& structure, const std::vector<ThreadGroup>& groups,
         while (!stop.load(std::memory_order_relaxed)) {
           const std::uint64_t dice = rng.next_below(1000);
           const Key k = rng.next_in(1, key_range - 1);
-#if CATS_OBS_ENABLED
-          // Sample one in 32 operations into the global latency histograms;
-          // timing every operation would dominate the cost of a lookup.
-          const bool sampled = sample_rng.next_below(32) == 0;
-          const auto op_begin = sampled ? std::chrono::steady_clock::now()
-                                        : std::chrono::steady_clock::time_point();
-          obs::GHistogram op_hist = obs::GHistogram::kUpdateLatencyNs;
-#endif
-          // Flight-recorder span (no-op unless the recorder is enabled and
-          // this operation is sampled — see obs/flight/flight.hpp).
+          // Flight-recorder span, the one op sampler: a sampled span also
+          // feeds the latency histograms (see obs/flight/flight.hpp).
           obs::flight::SpanStart span = obs::flight::begin_span();
           obs::flight::SpanKind span_kind = obs::flight::SpanKind::kLookup;
           if (dice < mix.update_permille) {
@@ -181,9 +165,6 @@ RunResult run_mix(S& structure, const std::vector<ThreadGroup>& groups,
           } else if (dice < mix.update_permille + mix.lookup_permille) {
             Value v;
             structure.lookup(Codec::encode(k), &v);
-#if CATS_OBS_ENABLED
-            op_hist = obs::GHistogram::kLookupLatencyNs;
-#endif
           } else {
             span_kind = obs::flight::SpanKind::kRange;
             const std::int64_t span =
@@ -205,22 +186,8 @@ RunResult run_mix(S& structure, const std::vector<ThreadGroup>& groups,
             if (sum == 0xdeadbeefdeadbeefull) std::abort();
             my.range_items += items;
             ++my.range_queries;
-#if CATS_OBS_ENABLED
-            op_hist = obs::GHistogram::kRangeLatencyNs;
-#endif
           }
           obs::flight::end_span(span, span_kind, k);
-#if CATS_OBS_ENABLED
-          if (sampled) {
-            const auto elapsed = std::chrono::steady_clock::now() - op_begin;
-            obs::record(
-                op_hist,
-                static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        elapsed)
-                        .count()));
-          }
-#endif
           ++my.ops;
           // Feed the process-wide op counter so a live monitor can derive
           // ops/sec; one relaxed sharded add, same cost class as the other
@@ -285,13 +252,13 @@ RunResult run_mix(S& structure, int threads, const Mix& mix, Key key_range,
 // ---------------------------------------------------------------------------
 // Monitored-run mode.
 //
-// Wraps one benchmark run in the active observability stack: a background
-// obs::Monitor sampling rates at --monitor-interval-ms, and an embedded
-// obs::HttpServer on --monitor-port serving /metrics (Prometheus),
-// /stats.json, /topology.json and /healthz while the run is under load.
-// finish() (or the destructor) stops both and writes the final snapshot
-// (--metrics-out) and the rate time-series (--series-out) — the single
-// code path both bench binaries use for metrics dumping.
+// Wraps one benchmark run in the active observability stack: the flight
+// recorder at --trace-sample-shift (its spans fill the latency histograms),
+// an obs::Monitor sampling rates at --monitor-interval-ms, and an
+// obs::HttpServer on --monitor-port serving /metrics, /stats.json,
+// /topology.json, /trace.json and /healthz.  finish() (or the destructor)
+// stops them and writes --metrics-out, --series-out and --trace-out — the
+// single code path both bench binaries use for metrics dumping.
 //
 // Lifetime: the sources capture the structure, so a MonitoredRun must be
 // declared after (destroyed before) the structure and its domain.
@@ -308,14 +275,10 @@ class MonitoredRun {
                TopologySource topology = {})
       : stats_(std::move(stats)), metrics_path_(opt.metrics_out),
         series_path_(opt.series_out), trace_path_(opt.trace_out) {
-    // The flight recorder turns on when a trace file was requested or a
-    // live endpoint could serve /trace.json; otherwise every begin_span in
-    // the workers stays on its two-instruction disabled path.
-    if (!opt.trace_out.empty() || opt.monitor_port >= 0) {
-      obs::flight::Recorder::instance().enable(
-          static_cast<unsigned>(opt.trace_sample_shift));
-      flight_enabled_ = true;
-    }
+    // The flight recorder samples ops for the whole run: its spans feed
+    // the latency histograms, the trace file and /trace.json.
+    obs::flight::Recorder::instance().enable(
+        static_cast<unsigned>(opt.trace_sample_shift));
     if (opt.monitor_interval_ms > 0) {
       obs::Monitor::Config config;
       config.interval = std::chrono::milliseconds(opt.monitor_interval_ms);
@@ -342,10 +305,8 @@ class MonitoredRun {
                 obs::write_topology_json(os, src());
               });
       }
-      if (flight_enabled_) {
-        serve("/trace.json", "application/json",
-              [](std::ostream& os) { obs::flight::write_chrome_trace(os); });
-      }
+      serve("/trace.json", "application/json",
+            [](std::ostream& os) { obs::flight::write_chrome_trace(os); });
       if (server_->start()) {
         std::fprintf(stderr,
                      "monitor: serving http://127.0.0.1:%d/metrics\n",
@@ -380,7 +341,7 @@ class MonitoredRun {
                  " spans recorded, " + std::to_string(recorder.dropped()) +
                  " overwritten)");
     }
-    if (flight_enabled_) obs::flight::Recorder::instance().disable();
+    obs::flight::Recorder::instance().disable();
     if (!metrics_path_.empty()) {
       obs::Snapshot snap = stats_();
       // Per-phase hardware counters ride in the final snapshot only: they
@@ -422,7 +383,6 @@ class MonitoredRun {
   std::string trace_path_;
   std::unique_ptr<obs::Monitor> monitor_;
   std::unique_ptr<obs::HttpServer> server_;
-  bool flight_enabled_ = false;
   bool finished_ = false;
 };
 

@@ -1141,26 +1141,9 @@ std::uint32_t BasicLfcaTree<C>::depth_of(Key key) const {
 template <class C>
 Stats BasicLfcaTree<C>::stats() const {
   Stats s;
-  s.splits = counters_.read(TreeCounter::kSplits);
-  s.joins = counters_.read(TreeCounter::kJoins);
-  s.aborted_joins = counters_.read(TreeCounter::kAbortedJoins);
-  s.range_queries = counters_.read(TreeCounter::kRangeQueries);
-  s.range_bases_traversed =
-      counters_.read(TreeCounter::kRangeBasesTraversed);
-  s.optimistic_ranges = counters_.read(TreeCounter::kOptimisticRanges);
-  s.fallback_ranges = counters_.read(TreeCounter::kFallbackRanges);
-  s.helps = counters_.read(TreeCounter::kHelps);
-  s.split_attempts = counters_.read(TreeCounter::kSplitAttempts);
-  s.split_failed_cas = counters_.read(TreeCounter::kSplitFailedCas);
-  s.split_refused_small = counters_.read(TreeCounter::kSplitRefusedSmall);
-  s.join_attempts = counters_.read(TreeCounter::kJoinAttempts);
-  s.update_cas_fails = counters_.read(TreeCounter::kUpdateCasFails);
-  s.update_blocked_retries =
-      counters_.read(TreeCounter::kUpdateBlockedRetries);
-  s.contention_events = counters_.read(TreeCounter::kContentionEvents);
-  s.range_cas_fails = counters_.read(TreeCounter::kRangeCasFails);
-  s.help_joins = counters_.read(TreeCounter::kHelpJoins);
-  s.help_ranges = counters_.read(TreeCounter::kHelpRanges);
+  for (std::size_t i = 0; i < std::size(kTreeCounterFields); ++i) {
+    s.*kTreeCounterFields[i].field = counters_.read(i);
+  }
   return s;
 }
 

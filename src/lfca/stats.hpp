@@ -12,7 +12,10 @@
 // paper's tables (and these diagnostics) require.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <string>
 
 #include "obs/export.hpp"
 
@@ -24,11 +27,11 @@ enum class TreeCounter : std::size_t {
   kSplits,
   kJoins,
   kAbortedJoins,
-  kRangeQueries,
-  kRangeBasesTraversed,
-  kOptimisticRanges,
-  kFallbackRanges,
-  kHelps,
+  kRangeQueries,         // completed, counted by the initiating thread
+  kRangeBasesTraversed,  // base nodes traversed by completed range queries
+  kOptimisticRanges,     // answered by the §6 read-only fast path
+  kFallbackRanges,       // fell back to the node-replacing algorithm
+  kHelps,                // calls that helped another thread's operation
   // --- contention-detection diagnostics (CATS_OBS builds only) ------------
   kSplitAttempts,        // high_contention_adaptation entered
   kSplitFailedCas,       // split built but lost its installing CAS
@@ -43,45 +46,15 @@ enum class TreeCounter : std::size_t {
   kCount
 };
 
-inline const char* tree_counter_name(TreeCounter c) {
-  switch (c) {
-    case TreeCounter::kSplits: return "splits";
-    case TreeCounter::kJoins: return "joins";
-    case TreeCounter::kAbortedJoins: return "aborted_joins";
-    case TreeCounter::kRangeQueries: return "range_queries";
-    case TreeCounter::kRangeBasesTraversed: return "range_bases_traversed";
-    case TreeCounter::kOptimisticRanges: return "optimistic_ranges";
-    case TreeCounter::kFallbackRanges: return "fallback_ranges";
-    case TreeCounter::kHelps: return "helps";
-    case TreeCounter::kSplitAttempts: return "split_attempts";
-    case TreeCounter::kSplitFailedCas: return "split_failed_cas";
-    case TreeCounter::kSplitRefusedSmall: return "split_refused_small";
-    case TreeCounter::kJoinAttempts: return "join_attempts";
-    case TreeCounter::kUpdateCasFails: return "update_cas_fails";
-    case TreeCounter::kUpdateBlockedRetries: return "update_blocked_retries";
-    case TreeCounter::kContentionEvents: return "contention_events";
-    case TreeCounter::kRangeCasFails: return "range_cas_fails";
-    case TreeCounter::kHelpJoins: return "help_joins";
-    case TreeCounter::kHelpRanges: return "help_ranges";
-    case TreeCounter::kCount: break;
-  }
-  return "?";
-}
-
 /// Snapshot of the tree's internal counters (see TreeCounter for meanings).
 struct Stats {
   std::uint64_t splits = 0;
   std::uint64_t joins = 0;
   std::uint64_t aborted_joins = 0;
-  /// Completed range queries (counted by the initiating thread).
   std::uint64_t range_queries = 0;
-  /// Total base nodes traversed by completed range queries.
   std::uint64_t range_bases_traversed = 0;
-  /// Range queries answered by the §6 read-only fast path.
   std::uint64_t optimistic_ranges = 0;
-  /// Range queries that fell back to the node-replacing algorithm.
   std::uint64_t fallback_ranges = 0;
-  /// Calls that helped another thread's operation.
   std::uint64_t helps = 0;
 
   // Diagnostics (zero in CATS_OBS=OFF builds).
@@ -106,27 +79,42 @@ struct Stats {
   /// Appends every counter to an obs snapshot under a `prefix` (e.g.
   /// "lfca_"), so tree statistics travel in the same exported document as
   /// the process-wide metrics.
-  void append_to(obs::Snapshot& snap, const std::string& prefix) const {
-    snap.add_counter(prefix + "splits", splits);
-    snap.add_counter(prefix + "joins", joins);
-    snap.add_counter(prefix + "aborted_joins", aborted_joins);
-    snap.add_counter(prefix + "range_queries", range_queries);
-    snap.add_counter(prefix + "range_bases_traversed", range_bases_traversed);
-    snap.add_counter(prefix + "optimistic_ranges", optimistic_ranges);
-    snap.add_counter(prefix + "fallback_ranges", fallback_ranges);
-    snap.add_counter(prefix + "helps", helps);
-    snap.add_counter(prefix + "split_attempts", split_attempts);
-    snap.add_counter(prefix + "split_failed_cas", split_failed_cas);
-    snap.add_counter(prefix + "split_refused_small", split_refused_small);
-    snap.add_counter(prefix + "join_attempts", join_attempts);
-    snap.add_counter(prefix + "update_cas_fails", update_cas_fails);
-    snap.add_counter(prefix + "update_blocked_retries",
-                     update_blocked_retries);
-    snap.add_counter(prefix + "contention_events", contention_events);
-    snap.add_counter(prefix + "range_cas_fails", range_cas_fails);
-    snap.add_counter(prefix + "help_joins", help_joins);
-    snap.add_counter(prefix + "help_ranges", help_ranges);
-  }
+  void append_to(obs::Snapshot& snap, const std::string& prefix) const;
 };
+
+/// Exported name and Stats field of every TreeCounter, in enum order.
+struct TreeCounterField {
+  const char* name;
+  std::uint64_t Stats::*field;
+};
+inline constexpr TreeCounterField kTreeCounterFields[] = {
+    {"splits", &Stats::splits},
+    {"joins", &Stats::joins},
+    {"aborted_joins", &Stats::aborted_joins},
+    {"range_queries", &Stats::range_queries},
+    {"range_bases_traversed", &Stats::range_bases_traversed},
+    {"optimistic_ranges", &Stats::optimistic_ranges},
+    {"fallback_ranges", &Stats::fallback_ranges},
+    {"helps", &Stats::helps},
+    {"split_attempts", &Stats::split_attempts},
+    {"split_failed_cas", &Stats::split_failed_cas},
+    {"split_refused_small", &Stats::split_refused_small},
+    {"join_attempts", &Stats::join_attempts},
+    {"update_cas_fails", &Stats::update_cas_fails},
+    {"update_blocked_retries", &Stats::update_blocked_retries},
+    {"contention_events", &Stats::contention_events},
+    {"range_cas_fails", &Stats::range_cas_fails},
+    {"help_joins", &Stats::help_joins},
+    {"help_ranges", &Stats::help_ranges},
+};
+static_assert(std::size(kTreeCounterFields) ==
+              static_cast<std::size_t>(TreeCounter::kCount));
+
+inline void Stats::append_to(obs::Snapshot& snap,
+                             const std::string& prefix) const {
+  for (const auto& [name, field] : kTreeCounterFields) {
+    snap.add_counter(prefix + name, this->*field);
+  }
+}
 
 }  // namespace cats::lfca

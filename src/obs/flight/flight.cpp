@@ -2,7 +2,6 @@
 
 #if CATS_OBS_ENABLED
 
-#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -36,79 +35,6 @@ void Recorder::enable(unsigned sample_shift) {
   ++generation_;
   g_control.store((generation_ << 8) | (sample_shift + 1),
                   std::memory_order_release);
-}
-
-std::vector<SpanEvent> Recorder::dump() const {
-  const double ticks_per_ns = ticks_per_ns_.load(std::memory_order_acquire);
-  const std::uint64_t origin_ticks =
-      origin_ticks_.load(std::memory_order_relaxed);
-  const std::uint64_t origin_ns = origin_ns_.load(std::memory_order_relaxed);
-  auto to_ns = [&](std::uint64_t ticks, std::uint64_t base_ns) {
-    const double delta = static_cast<double>(ticks) -
-                         static_cast<double>(origin_ticks);
-    const double ns = static_cast<double>(base_ns) + delta / ticks_per_ns;
-    return ns <= 0 ? 0 : static_cast<std::uint64_t>(ns);
-  };
-  std::vector<SpanEvent> out;
-  for (const auto& ring : rings_) {
-    const std::uint64_t next = ring->next.load(std::memory_order_acquire);
-    const std::uint64_t first = next > kRingSize ? next - kRingSize : 0;
-    for (std::uint64_t seq = first; seq < next; ++seq) {
-      const Slot& slot = ring->slots[seq % kRingSize];
-      const std::uint64_t tag = slot.seq.load(std::memory_order_acquire);
-      SpanEvent e;
-      const std::uint64_t start_ticks =
-          slot.start_ticks.load(std::memory_order_relaxed);
-      const std::uint64_t dur_ticks =
-          slot.dur_ticks.load(std::memory_order_relaxed);
-      e.kind = static_cast<SpanKind>(slot.kind.load(std::memory_order_relaxed));
-      e.key_hash = slot.key_hash.load(std::memory_order_relaxed);
-      e.thread = static_cast<std::uint32_t>(&ring - &rings_[0]);
-      e.cas_fails = slot.cas_fails.load(std::memory_order_relaxed);
-      e.epoch_waits = slot.epoch_waits.load(std::memory_order_relaxed);
-      e.pool_refills = slot.pool_refills.load(std::memory_order_relaxed);
-      // Keep only slots that were complete for this seq when we started
-      // and still are: drops torn entries under concurrent wraparound.
-      if (tag == 2 * (seq + 1) &&
-          slot.seq.load(std::memory_order_acquire) == tag) {
-        e.t_ns = to_ns(start_ticks, origin_ns);
-        e.dur_ns = static_cast<std::uint64_t>(
-            static_cast<double>(dur_ticks) / ticks_per_ns);
-        out.push_back(e);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const SpanEvent& a, const SpanEvent& b) {
-              return a.t_ns < b.t_ns;
-            });
-  return out;
-}
-
-std::uint64_t Recorder::recorded() const {
-  std::uint64_t total = 0;
-  for (const auto& ring : rings_) {
-    total += ring->next.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-std::uint64_t Recorder::dropped() const {
-  std::uint64_t lost = 0;
-  for (const auto& ring : rings_) {
-    const std::uint64_t next = ring->next.load(std::memory_order_relaxed);
-    if (next > kRingSize) lost += next - kRingSize;
-  }
-  return lost;
-}
-
-void Recorder::reset() {
-  for (auto& ring : rings_) {
-    for (auto& slot : ring->slots) {
-      slot.seq.store(0, std::memory_order_relaxed);
-    }
-    ring->next.store(0, std::memory_order_relaxed);
-  }
 }
 
 }  // namespace cats::obs::flight

@@ -1,30 +1,32 @@
-// Sampled per-operation flight recorder.
+// Sampled per-operation flight recorder: the process's one op sampler.
 //
 // The adaptation trace (obs/trace.hpp) records the tree's *decisions*;
-// this module records what individual operations *experienced*: start
+// this module records what sampled operations *experienced*: start
 // timestamp, latency, op kind, key hash, and how many CAS failures, EBR
-// epoch waits and pool refills the operation absorbed (annot.hpp).  Spans
-// land in per-thread lock-free seqlock rings — same discipline as
-// AdaptTrace — and dump() merges all rings into one timeline that shares
-// AdaptTrace::now_ns()'s origin, so op spans and split/join instants line
-// up in one Perfetto view (flight/perfetto.hpp).
+// epoch waits and pool refills each absorbed (annot.hpp).  end() lands the
+// span in a per-shard ring (obs/ring.hpp, the one AdaptTrace uses) on the
+// AdaptTrace::now_ns() timeline, so spans and split/join instants line up
+// in one Perfetto view (flight/perfetto.hpp), and its latency in the
+// update/lookup/range latency histograms (obs/registry.hpp).
 //
-// Timing every operation would dominate the cost of a lookup, so spans are
-// sampled 1 in 2^shift per thread via a thread-local countdown:
+// Each thread samples a mean of 1 op in 2^shift: a thread-local countdown,
+// reloaded at each sampled op with a gap drawn uniformly from
+// [1, 2^(shift+1) - 1].  A fixed stride would be biased: EBR attempts an
+// epoch advance and batch free on every 64th retirement of a thread, and a
+// stride of 32 or 64 samples that op always or never.
 //
 //   disabled path:   one relaxed load + branch (g_control == 0)
 //   unsampled path:  load + compare + decrement + branch
-//   sampled path:    two TSC reads + a handful of relaxed ring stores
+//   sampled path:    two TSC reads, a gap draw, a ring push, a histogram add
 //
 // Timestamps are raw TSC ticks (x86 rdtsc / aarch64 cntvct_el0, falling
 // back to steady_clock); enable() calibrates ticks-per-ns against
-// AdaptTrace::now_ns() and anchors the origins so dump() can convert.  The
-// rings (~8 MB) are allocated lazily on the first enable(): a process that
-// never traces never pays for them.
+// AdaptTrace::now_ns().  The rings (~6 MB) are allocated lazily on the
+// first enable(): a process that never samples never pays for them.
 //
 // Control plane (enable/disable/reset) is NOT thread-safe against itself —
-// callers serialize it (the harness enables once before the run).  The
-// data plane (begin/end/dump) is safe from any thread at any time.
+// callers serialize it.  The data plane (begin/end/dump) is safe from any
+// thread at any time.
 #pragma once
 
 #include <atomic>
@@ -36,10 +38,11 @@
 #include "obs/obs.hpp"
 
 #if CATS_OBS_ENABLED
-#include "common/padded.hpp"
 #include "common/rng.hpp"
 #include "obs/counters.hpp"
 #include "obs/flight/annot.hpp"
+#include "obs/registry.hpp"
+#include "obs/ring.hpp"
 #include "obs/trace.hpp"
 #endif
 
@@ -62,7 +65,7 @@ inline const char* span_kind_name(SpanKind k) {
   return "?";
 }
 
-/// One completed sampled operation, converted to the AdaptTrace timeline.
+/// One completed sampled operation on the AdaptTrace timeline.
 struct SpanEvent {
   std::uint64_t t_ns = 0;    // start, AdaptTrace::now_ns() timeline
   std::uint64_t dur_ns = 0;  // latency
@@ -109,7 +112,7 @@ inline std::uint64_t read_ticks() {
 
 class Recorder {
  public:
-  /// Spans retained per thread ring; older spans are overwritten.
+  /// Spans retained per shard ring; older spans are overwritten.
   static constexpr std::size_t kRingSize = 4096;
 
   /// Lazily constructed (and leaked) so the disabled path never touches —
@@ -117,7 +120,7 @@ class Recorder {
   static Recorder& instance();
 
   /// Calibrates the tick clock, clears the rings and turns sampling on at
-  /// 1 in 2^sample_shift ops per thread (shift 0 = every op).
+  /// a mean of 1 in 2^sample_shift ops per thread (shift 0 = every op).
   void enable(unsigned sample_shift);
   void disable() { g_control.store(0, std::memory_order_release); }
   bool enabled() const {
@@ -138,12 +141,15 @@ class Recorder {
     if (tl.control != control) {
       tl.control = control;
       tl.countdown = 0;
+      if (tl.rng == 0) tl.rng = reinterpret_cast<std::uintptr_t>(&tl);
     }
     if (tl.countdown != 0) {
       --tl.countdown;
       return {};
     }
-    tl.countdown = (1u << ((control & 0xffu) - 1)) - 1;
+    const unsigned shift = (control & 0xffu) - 1;
+    tl.countdown =
+        static_cast<std::uint32_t>(splitmix64(tl.rng) % ((2u << shift) - 1));
     SpanStart s;
     s.active = true;
     const OpAnnot& annot = op_annot();
@@ -154,84 +160,69 @@ class Recorder {
     return s;
   }
 
-  /// Seals a sampled span into the calling thread's ring.
+  /// Seals a sampled span into the calling thread's ring and its latency
+  /// into the op kind's histogram.
   void end(const SpanStart& s, SpanKind kind, Key key) {
     const std::uint64_t end_ticks = read_ticks();
     const OpAnnot& annot = op_annot();
-    const std::size_t shard = shard_index();
-    Ring& ring = *rings_[shard];
-    const std::uint64_t seq = ring.next.load(std::memory_order_relaxed);
-    Slot& slot = ring.slots[seq % kRingSize];
-    // Odd sequence = slot being written; dump() skips such slots (the
-    // seqlock discipline of obs/trace.hpp).
-    slot.seq.store(2 * seq + 1, std::memory_order_release);
-    slot.start_ticks.store(s.ticks, std::memory_order_relaxed);
+    // Pairs with enable()'s release store; the origins were stored first.
+    const double ticks_per_ns = ticks_per_ns_.load(std::memory_order_acquire);
     // TSC reads may jump backwards across a core migration; clamp.
-    slot.dur_ticks.store(end_ticks > s.ticks ? end_ticks - s.ticks : 0,
-                         std::memory_order_relaxed);
-    slot.kind.store(static_cast<std::uint8_t>(kind),
-                    std::memory_order_relaxed);
-    slot.key_hash.store(
-        static_cast<std::uint32_t>(mix64(static_cast<std::uint64_t>(key))),
-        std::memory_order_relaxed);
-    slot.cas_fails.store(annot.cas_fails - s.cas_fails,
-                         std::memory_order_relaxed);
-    slot.epoch_waits.store(annot.epoch_waits - s.epoch_waits,
-                           std::memory_order_relaxed);
-    slot.pool_refills.store(annot.pool_refills - s.pool_refills,
-                            std::memory_order_relaxed);
-    slot.seq.store(2 * (seq + 1), std::memory_order_release);
-    ring.next.store(seq + 1, std::memory_order_release);
+    auto ns_between = [ticks_per_ns](std::uint64_t from, std::uint64_t to) {
+      return to > from ? static_cast<std::uint64_t>(
+                             static_cast<double>(to - from) / ticks_per_ns)
+                       : 0;
+    };
+    SpanEvent e;
+    e.t_ns = origin_ns_.load(std::memory_order_relaxed) +
+             ns_between(origin_ticks_.load(std::memory_order_relaxed), s.ticks);
+    e.dur_ns = ns_between(s.ticks, end_ticks);
+    e.kind = kind;
+    e.key_hash =
+        static_cast<std::uint32_t>(mix64(static_cast<std::uint64_t>(key)));
+    e.cas_fails = annot.cas_fails - s.cas_fails;
+    e.epoch_waits = annot.epoch_waits - s.epoch_waits;
+    e.pool_refills = annot.pool_refills - s.pool_refills;
+    rings_.push(e);
+    obs::record(kind == SpanKind::kLookup  ? GHistogram::kLookupLatencyNs
+                : kind == SpanKind::kRange ? GHistogram::kRangeLatencyNs
+                                           : GHistogram::kUpdateLatencyNs,
+                e.dur_ns);
   }
 
   /// Merged timeline of every ring, sorted by start time.  Entries being
-  /// overwritten mid-read are dropped (same contract as AdaptTrace::dump).
-  std::vector<SpanEvent> dump() const;
+  /// overwritten mid-read are dropped.
+  std::vector<SpanEvent> dump() const { return rings_.dump(&SpanEvent::t_ns); }
 
   /// Total spans ever recorded (including overwritten ones).
-  std::uint64_t recorded() const;
-  /// Spans lost to ring wraparound (recorded minus still-resident).
-  std::uint64_t dropped() const;
+  std::uint64_t recorded() const { return rings_.recorded(); }
+  /// Spans recorded but no longer resident (overwritten or skipped).
+  std::uint64_t dropped() const { return rings_.dropped(); }
 
   /// Clears the rings (control plane; not safe against live recording).
-  void reset();
+  void reset() { rings_.reset(); }
 
  private:
   struct Sampler {
     std::uint32_t control = 0;
-    std::uint32_t countdown = 0;
+    std::uint32_t countdown = 0;  // unsampled ops before the next sample
+    std::uint64_t rng = 0;        // splitmix64 state of the gap draws
   };
   static Sampler& sampler() {
     thread_local Sampler tl;
     return tl;
   }
 
-  struct Slot {
-    std::atomic<std::uint64_t> seq{0};
-    std::atomic<std::uint64_t> start_ticks{0};
-    std::atomic<std::uint64_t> dur_ticks{0};
-    std::atomic<std::uint8_t> kind{0};
-    std::atomic<std::uint32_t> key_hash{0};
-    std::atomic<std::uint32_t> cas_fails{0};
-    std::atomic<std::uint32_t> epoch_waits{0};
-    std::atomic<std::uint32_t> pool_refills{0};
-  };
-  struct Ring {
-    Slot slots[kRingSize];
-    std::atomic<std::uint64_t> next{0};
-  };
-
   Recorder() = default;
 
   // Calibration anchors, written by enable() before the g_control release
-  // store; dump() reads them acquire.  Spans always store raw ticks — the
-  // conversion happens only at dump time.
+  // store.
   std::atomic<std::uint64_t> origin_ticks_{0};
   std::atomic<std::uint64_t> origin_ns_{0};
   std::atomic<double> ticks_per_ns_{1.0};
   std::uint32_t generation_ = 0;  // control plane only
 
-  Padded<Ring> rings_[kShards];
+  ShardRing<SpanEvent, kRingSize> rings_;
 };
 
 /// Hot-path entry: inert token unless sampling is on and this op won the

@@ -10,7 +10,9 @@
 // are relaxed per-thread-shard operations (counters.hpp).  Reads aggregate.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
@@ -37,22 +39,17 @@ enum class GCounter : std::size_t {
 };
 
 inline const char* gcounter_name(GCounter c) {
-  switch (c) {
-    case GCounter::kEbrRetired: return "ebr_retired";
-    case GCounter::kEbrFreed: return "ebr_freed";
-    case GCounter::kEbrAdvanceAttempts: return "ebr_advance_attempts";
-    case GCounter::kEbrAdvances: return "ebr_advances";
-    case GCounter::kEbrOrphaned: return "ebr_orphaned";
-    case GCounter::kTreapNodeAllocs: return "treap_node_allocs";
-    case GCounter::kTreapNodeFrees: return "treap_node_frees";
-    case GCounter::kHarnessOps: return "harness_ops";
-    case GCounter::kCount: break;
-  }
-  return "?";
+  constexpr const char* kNames[] = {
+      "ebr_retired", "ebr_freed", "ebr_advance_attempts", "ebr_advances",
+      "ebr_orphaned", "treap_node_allocs", "treap_node_frees", "harness_ops"};
+  static_assert(std::size(kNames) ==
+                static_cast<std::size_t>(GCounter::kCount));
+  return kNames[static_cast<std::size_t>(c)];
 }
 
-/// Global histograms.  Latencies are nanoseconds (sampled by the harness);
-/// the others are dimensionless sizes.
+/// Global histograms.  Latencies are nanoseconds, one sample per
+/// flight-recorder span (flight/flight.hpp); the others are dimensionless
+/// sizes.
 enum class GHistogram : std::size_t {
   kUpdateLatencyNs,      // insert/remove latency (sampled)
   kLookupLatencyNs,      // lookup latency (sampled)
@@ -63,15 +60,12 @@ enum class GHistogram : std::size_t {
 };
 
 inline const char* ghistogram_name(GHistogram h) {
-  switch (h) {
-    case GHistogram::kUpdateLatencyNs: return "update_latency_ns";
-    case GHistogram::kLookupLatencyNs: return "lookup_latency_ns";
-    case GHistogram::kRangeLatencyNs: return "range_latency_ns";
-    case GHistogram::kRangeBasesTraversed: return "range_bases_traversed";
-    case GHistogram::kSplitLeafItems: return "split_leaf_items";
-    case GHistogram::kCount: break;
-  }
-  return "?";
+  constexpr const char* kNames[] = {
+      "update_latency_ns", "lookup_latency_ns", "range_latency_ns",
+      "range_bases_traversed", "split_leaf_items"};
+  static_assert(std::size(kNames) ==
+                static_cast<std::size_t>(GHistogram::kCount));
+  return kNames[static_cast<std::size_t>(h)];
 }
 
 /// Value-type copy of every registry counter and histogram, taken without
@@ -81,8 +75,6 @@ inline const char* ghistogram_name(GHistogram h) {
 struct RegistryValues {
   std::uint64_t counters[static_cast<std::size_t>(GCounter::kCount)] = {};
   HistogramSnapshot histograms[static_cast<std::size_t>(GHistogram::kCount)];
-  /// Total adaptation events ever recorded (including overwritten ones).
-  std::uint64_t trace_recorded = 0;
 
   std::uint64_t counter(GCounter c) const {
     return counters[static_cast<std::size_t>(c)];
@@ -122,7 +114,6 @@ class Registry {
          ++i) {
       out.histograms[i] = histograms_[i].snapshot();
     }
-    out.trace_recorded = trace_.recorded();
     return out;
   }
 

@@ -4,27 +4,23 @@
 // and join counters cannot show that a split storm happened in the first
 // millisecond of a run, or that a base node oscillated split-join-split.
 // This module records every adaptation decision (split, join, abort) into a
-// fixed-size per-thread ring buffer:
+// fixed-size per-shard ring buffer (ring.hpp):
 //
 //   {monotonic timestamp, event kind, route depth, triggering stat, thread}
 //
-// Writes are a few relaxed stores on the owning thread's ring — no
-// synchronization with other recorders.  `dump()` merges all rings into one
-// timeline sorted by timestamp; under concurrent recording the timeline is
-// approximate (entries being overwritten mid-read are dropped by a sequence
-// check), which is all a trace needs.  Adaptations are orders of magnitude
-// rarer than operations, so the clock read on this path is irrelevant.
+// `dump()` merges all rings into one timeline sorted by timestamp; under
+// concurrent recording the timeline is approximate (entries being
+// overwritten mid-read are dropped), which is all a trace needs.
+// Adaptations are orders of magnitude rarer than operations, so the clock
+// read on this path is irrelevant.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "common/padded.hpp"
-#include "obs/counters.hpp"  // kShards / shard_index()
+#include "obs/ring.hpp"
 
 namespace cats::obs {
 
@@ -60,7 +56,7 @@ struct TraceEvent {
 
 class AdaptTrace {
  public:
-  /// Entries retained per thread ring; older entries are overwritten.
+  /// Entries retained per shard ring; older entries are overwritten.
   static constexpr std::size_t kRingSize = 1024;
 
   /// Monotonic nanoseconds since the first call in this process.
@@ -73,84 +69,21 @@ class AdaptTrace {
   }
 
   void record(AdaptKind kind, std::uint32_t depth, std::int32_t stat) {
-    const std::size_t shard = shard_index();
-    Ring& ring = *rings_[shard];
-    const std::uint64_t seq = ring.next.load(std::memory_order_relaxed);
-    Slot& slot = ring.slots[seq % kRingSize];
-    // Odd sequence = slot being written; dump() skips such slots.
-    slot.seq.store(2 * seq + 1, std::memory_order_release);
-    slot.time_ns.store(now_ns(), std::memory_order_relaxed);
-    slot.kind.store(static_cast<std::uint8_t>(kind),
-                    std::memory_order_relaxed);
-    slot.depth.store(depth, std::memory_order_relaxed);
-    slot.stat.store(stat, std::memory_order_relaxed);
-    slot.thread.store(static_cast<std::uint32_t>(shard),
-                      std::memory_order_relaxed);
-    slot.seq.store(2 * (seq + 1), std::memory_order_release);
-    ring.next.store(seq + 1, std::memory_order_release);
+    ring_.push({now_ns(), kind, depth, stat});
   }
 
   /// Merged timeline of every ring, sorted by timestamp.
   std::vector<TraceEvent> dump() const {
-    std::vector<TraceEvent> out;
-    for (const auto& ring : rings_) {
-      const std::uint64_t next = ring->next.load(std::memory_order_acquire);
-      const std::uint64_t first = next > kRingSize ? next - kRingSize : 0;
-      for (std::uint64_t seq = first; seq < next; ++seq) {
-        const Slot& slot = ring->slots[seq % kRingSize];
-        const std::uint64_t tag = slot.seq.load(std::memory_order_acquire);
-        TraceEvent e;
-        e.time_ns = slot.time_ns.load(std::memory_order_relaxed);
-        e.kind = static_cast<AdaptKind>(
-            slot.kind.load(std::memory_order_relaxed));
-        e.depth = slot.depth.load(std::memory_order_relaxed);
-        e.stat = slot.stat.load(std::memory_order_relaxed);
-        e.thread = slot.thread.load(std::memory_order_relaxed);
-        // Keep only slots that were complete for this seq when we started
-        // and still are: drops torn entries under concurrent wraparound.
-        if (tag == 2 * (seq + 1) &&
-            slot.seq.load(std::memory_order_acquire) == tag) {
-          out.push_back(e);
-        }
-      }
-    }
-    std::sort(out.begin(), out.end(),
-              [](const TraceEvent& a, const TraceEvent& b) {
-                return a.time_ns < b.time_ns;
-              });
-    return out;
+    return ring_.dump(&TraceEvent::time_ns);
   }
 
   /// Total events ever recorded (including overwritten ones).
-  std::uint64_t recorded() const {
-    std::uint64_t total = 0;
-    for (const auto& ring : rings_) {
-      total += ring->next.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
+  std::uint64_t recorded() const { return ring_.recorded(); }
 
-  void reset() {
-    for (auto& ring : rings_) {
-      for (auto& slot : ring->slots) slot.seq.store(0, std::memory_order_relaxed);
-      ring->next.store(0, std::memory_order_relaxed);
-    }
-  }
+  void reset() { ring_.reset(); }
 
  private:
-  struct Slot {
-    std::atomic<std::uint64_t> seq{0};
-    std::atomic<std::uint64_t> time_ns{0};
-    std::atomic<std::uint8_t> kind{0};
-    std::atomic<std::uint32_t> depth{0};
-    std::atomic<std::int32_t> stat{0};
-    std::atomic<std::uint32_t> thread{0};
-  };
-  struct Ring {
-    Slot slots[kRingSize];
-    std::atomic<std::uint64_t> next{0};
-  };
-  Padded<Ring> rings_[kShards];
+  ShardRing<TraceEvent, kRingSize> ring_;
 };
 
 }  // namespace cats::obs

@@ -52,6 +52,36 @@ TEST(Runner, CountsOperationsAndStops) {
   EXPECT_EQ(r.total_ops, r.group_ops[0]);
 }
 
+#if CATS_OBS_ENABLED
+// The flight recorder is the one op sampler: every span a run_mix worker
+// seals is one latency-histogram sample, and with the recorder off the
+// histograms do not move.
+TEST(Harness, LatencyHistogramsComeFromSpans) {
+  lfca::LfcaTree tree;
+  prefill(tree, 10'000);
+  const Mix mix = Mix::of_percent(20, 55, 25, 100);
+  auto latency_samples = [] {
+    const obs::RegistryValues v = obs::Registry::instance().snapshot();
+    return v.histogram(obs::GHistogram::kUpdateLatencyNs).count +
+           v.histogram(obs::GHistogram::kLookupLatencyNs).count +
+           v.histogram(obs::GHistogram::kRangeLatencyNs).count;
+  };
+  auto& recorder = obs::flight::Recorder::instance();
+  recorder.enable(5);
+  const std::uint64_t samples0 = latency_samples();
+  const std::uint64_t spans0 = recorder.recorded();
+  run_mix(tree, 2, mix, 10'000, 0.1);
+  recorder.disable();
+  const std::uint64_t spans = recorder.recorded() - spans0;
+  EXPECT_GT(spans, 0u);
+  EXPECT_EQ(latency_samples() - samples0, spans);
+
+  const std::uint64_t samples1 = latency_samples();
+  run_mix(tree, 2, mix, 10'000, 0.1);
+  EXPECT_EQ(latency_samples(), samples1);
+}
+#endif  // CATS_OBS_ENABLED
+
 TEST(Runner, ReportsPerThreadOperationCounts) {
   lfca::LfcaTree tree;
   prefill(tree, 10'000);
@@ -244,11 +274,11 @@ TEST(Cli, TraceFlagsParseWhenRecorderCompiledIn) {
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.opt.trace_out, "t.json");
   EXPECT_EQ(r.opt.trace_sample_shift, 4);
-  // Default: no trace file, moderate sampling.
+  // Default: no trace file, the latency histograms' 1-in-32 sampling.
   const ParseResult d = parse_args({});
   ASSERT_TRUE(d.ok) << d.error;
   EXPECT_TRUE(d.opt.trace_out.empty());
-  EXPECT_EQ(d.opt.trace_sample_shift, 10);
+  EXPECT_EQ(d.opt.trace_sample_shift, 5);
 }
 
 TEST(Cli, TraceFlagsRejectBadValues) {

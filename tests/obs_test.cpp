@@ -1,6 +1,6 @@
 // Tests for the observability layer (src/obs): sharded counters, log-scale
-// histograms, the adaptation-trace ring buffer, and the exporters (table /
-// JSON round-trip / Prometheus).
+// histograms, the shard ring behind the adaptation trace and the flight
+// recorder, and the exporters (table / JSON round-trip / Prometheus).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -246,6 +246,47 @@ TEST(ObsTrace, ConcurrentRecordAndDump) {
   for (auto& t : writers) t.join();
 }
 
+// More live threads than shards: shards are handed out round-robin, so
+// eight rings get two writers.  Each must claim its own sequence number —
+// no event may be lost from recorded() or torn in the dump.
+TEST(ObsRing, SharedShardWritersLoseNothing) {
+  constexpr int kThreads = static_cast<int>(obs::kShards) + 8;
+  constexpr std::int32_t kEvents = 20'000;
+  obs::AdaptTrace trace;
+  for (int round = 0; round < 5; ++round) {
+    trace.reset();
+    std::atomic<bool> go{false};
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kThreads; ++t) {
+      writers.emplace_back([&trace, &go, t] {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        const auto kind =
+            t % 2 == 0 ? obs::AdaptKind::kSplit : obs::AdaptKind::kJoin;
+        for (std::int32_t i = 0; i < kEvents; ++i) {
+          trace.record(kind, static_cast<std::uint32_t>(t), t * kEvents + i);
+        }
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (auto& w : writers) w.join();
+    ASSERT_EQ(trace.recorded(),
+              static_cast<std::uint64_t>(kThreads) * kEvents)
+        << "round " << round;
+    const auto events = trace.dump();
+    EXPECT_LE(events.size(), obs::kShards * obs::AdaptTrace::kRingSize);
+    for (const auto& e : events) {
+      // Every field of an entry comes from the same record() call.
+      ASSERT_LT(e.depth, static_cast<std::uint32_t>(kThreads));
+      const auto t = static_cast<std::int32_t>(e.depth);
+      ASSERT_EQ(e.kind,
+                t % 2 == 0 ? obs::AdaptKind::kSplit : obs::AdaptKind::kJoin);
+      ASSERT_GE(e.stat, t * kEvents);
+      ASSERT_LT(e.stat, (t + 1) * kEvents);
+      ASSERT_LT(e.thread, obs::kShards);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Exporters.
 // ---------------------------------------------------------------------------
@@ -478,20 +519,36 @@ TEST(Flight, SpanRecordsAnnotationDeltas) {
   EXPECT_EQ(rec.dropped(), 0u);
 }
 
-TEST(Flight, SamplingIsDeterministicPerThread) {
+// Each sampled op draws the next gap at random, mean 2^shift.  A fixed
+// stride would sample only some residues of the op index — at shift 5 only
+// 0 and 32 mod 64, locked onto EBR's every-64th-retirement advance.
+TEST(Flight, SamplingGapsAreRandomWithMeanTwoToTheShift) {
   auto& rec = obs::flight::Recorder::instance();
-  // Shift 2 = 1 op in 4.  The enable() generation bump invalidates this
-  // thread's cached countdown, so op 0 is always sampled; then 4, 8, 12.
-  rec.enable(2);
-  EXPECT_EQ(rec.sample_shift(), 2);
-  for (Key k = 0; k < 16; ++k) {
+  rec.enable(5);
+  EXPECT_EQ(rec.sample_shift(), 5);
+  constexpr std::uint64_t kOps = 1 << 16;
+  constexpr std::uint64_t kPeriod = 64;
+  std::vector<std::uint64_t> per_residue(kPeriod, 0);
+  std::uint64_t sampled = 0;
+  for (std::uint64_t i = 0; i < kOps; ++i) {
     const obs::flight::SpanStart s = obs::flight::begin_span();
-    EXPECT_EQ(s.active, k % 4 == 0) << "op " << k;
-    obs::flight::end_span(s, obs::flight::SpanKind::kLookup, k);
+    if (s.active) {
+      ++sampled;
+      ++per_residue[i % kPeriod];
+    }
+    obs::flight::end_span(s, obs::flight::SpanKind::kLookup,
+                          static_cast<Key>(i));
   }
   rec.disable();
-  EXPECT_EQ(rec.recorded(), 4u);
-  EXPECT_EQ(rec.dump().size(), 4u);
+  EXPECT_EQ(rec.recorded(), sampled);
+  const double expected = static_cast<double>(kOps >> 5);
+  EXPECT_NEAR(static_cast<double>(sampled), expected, 0.2 * expected);
+  const double per_class = expected / kPeriod;
+  for (std::uint64_t r = 0; r < kPeriod; ++r) {
+    EXPECT_GE(per_residue[r], 1u) << "residue " << r;
+    EXPECT_LE(static_cast<double>(per_residue[r]), 3 * per_class)
+        << "residue " << r;
+  }
 }
 
 TEST(Flight, RingWraparoundKeepsExactAccounting) {
@@ -627,14 +684,18 @@ TEST(Flight, ConcurrentProducersAndExporter) {
   constexpr int kProducers = 4;
   constexpr std::uint64_t kOps = 20'000;
   std::atomic<int> running{kProducers};
+  std::atomic<std::uint64_t> sampled{0};
   std::vector<std::thread> producers;
   for (int t = 0; t < kProducers; ++t) {
-    producers.emplace_back([t, &running] {
+    producers.emplace_back([t, &running, &sampled] {
+      std::uint64_t mine = 0;
       for (std::uint64_t i = 0; i < kOps; ++i) {
         const obs::flight::SpanStart s = obs::flight::begin_span();
+        mine += s.active;
         obs::flight::end_span(s, static_cast<obs::flight::SpanKind>(i % 4),
                               static_cast<Key>(t * kOps + i));
       }
+      sampled.fetch_add(mine, std::memory_order_relaxed);
       running.fetch_sub(1, std::memory_order_relaxed);
     });
   }
@@ -651,8 +712,10 @@ TEST(Flight, ConcurrentProducersAndExporter) {
   } while (running.load(std::memory_order_relaxed) > 0);
   for (auto& p : producers) p.join();
   rec.disable();
-  // Quiescent again: the per-thread countdowns sampled exactly 1 in 16.
-  EXPECT_EQ(rec.recorded(), kProducers * kOps / 16);
+  // Quiescent again: every sampled op left one span, about 1 in 16.
+  EXPECT_EQ(rec.recorded(), sampled.load());
+  const double expected = static_cast<double>(kProducers * kOps / 16);
+  EXPECT_NEAR(static_cast<double>(sampled.load()), expected, 0.2 * expected);
 }
 
 TEST(Flight, PerfCountersDegradeGracefully) {
