@@ -35,7 +35,7 @@ treap::Ref build_treap(std::int64_t n, std::uint64_t seed = 7) {
   std::int64_t inserted = 0;
   while (inserted < n) {
     bool replaced = false;
-    t = treap::insert(t.get(), rng.next_in(0, n * 2), 1, &replaced);
+    t = treap::Impl::insert(t.get(), rng.next_in(0, n * 2), 1, &replaced);
     if (!replaced) ++inserted;
   }
   return t;
@@ -46,7 +46,7 @@ void BM_TreapInsert(benchmark::State& state) {
   treap::Ref base = build_treap(n);
   Xoshiro256 rng(13);
   for (auto _ : state) {
-    treap::Ref next = treap::insert(base.get(), rng.next_in(0, n * 2), 2);
+    treap::Ref next = treap::Impl::insert(base.get(), rng.next_in(0, n * 2), 2);
     benchmark::DoNotOptimize(next.get());
   }
   state.SetLabel("persistent path copy");
@@ -58,7 +58,7 @@ void BM_TreapRemove(benchmark::State& state) {
   treap::Ref base = build_treap(n);
   Xoshiro256 rng(17);
   for (auto _ : state) {
-    treap::Ref next = treap::remove(base.get(), rng.next_in(0, n * 2));
+    treap::Ref next = treap::Impl::remove(base.get(), rng.next_in(0, n * 2));
     benchmark::DoNotOptimize(next.get());
   }
 }
@@ -71,7 +71,7 @@ void BM_TreapLookup(benchmark::State& state) {
   for (auto _ : state) {
     Value v = 0;
     benchmark::DoNotOptimize(
-        treap::lookup(base.get(), rng.next_in(0, n * 2), &v));
+        treap::Impl::lookup(base.get(), rng.next_in(0, n * 2), &v));
   }
 }
 BENCHMARK(BM_TreapLookup)->Arg(1000)->Arg(100000)->Arg(1000000);
@@ -82,8 +82,8 @@ void BM_TreapSplitJoin(benchmark::State& state) {
   for (auto _ : state) {
     treap::Ref l, r;
     Key pivot = 0;
-    treap::split_evenly(base.get(), &l, &r, &pivot);
-    treap::Ref joined = treap::join(l, r);
+    treap::Impl::split_evenly(base.get(), &l, &r, &pivot);
+    treap::Ref joined = treap::Impl::join(l.get(), r.get());
     benchmark::DoNotOptimize(joined.get());
   }
   state.SetLabel("split_evenly + join");
@@ -97,7 +97,7 @@ void BM_TreapRangeScan(benchmark::State& state) {
   for (auto _ : state) {
     const Key lo = rng.next_in(0, 200000 - span);
     std::uint64_t sum = 0;
-    treap::for_range(base.get(), lo, lo + span,
+    treap::Impl::for_range(base.get(), lo, lo + span,
                      [&](Key k, Value) { sum += k; });
     benchmark::DoNotOptimize(sum);
   }

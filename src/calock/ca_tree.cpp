@@ -28,7 +28,7 @@ struct CaTree::Node {
   }
   ~Node() {
     const treap::Node* d = data.load(std::memory_order_relaxed);
-    if (d != nullptr) treap::detail::decref(d);
+    if (d != nullptr) treap::Impl::decref(d);
   }
 };
 
@@ -46,7 +46,7 @@ void release_container(reclaim::Domain& domain, const treap::Node* root) {
   // address may legitimately be pending retirement from several owners.
   domain.retire_shared(
       const_cast<treap::Node*>(root), +[](void* p) {
-        treap::detail::decref(static_cast<const treap::Node*>(p));
+        treap::Impl::decref(static_cast<const treap::Node*>(p));
       });
 }
 
@@ -139,8 +139,8 @@ bool CaTree::do_update(UpdateKind kind, Key key, Value value) {
     const treap::Node* old = base->data.load(std::memory_order_relaxed);
     bool changed = false;
     treap::Ref next = kind == UpdateKind::kInsert
-                          ? treap::insert(old, key, value, &changed)
-                          : treap::remove(old, key, &changed);
+                          ? treap::Impl::insert(old, key, value, &changed)
+                          : treap::Impl::remove(old, key, &changed);
     base->data.store(next.release(), std::memory_order_release);
     release_container(domain_, old);
     if (contended) {
@@ -169,7 +169,7 @@ bool CaTree::lookup(Key key, Value* value_out) const {
     const treap::Node* d = base->data.load(std::memory_order_acquire);
     if (!base->valid.load(std::memory_order_acquire)) continue;
     // `base` was still current when we read `d`: linearize at that read.
-    return treap::lookup(d, key, value_out);
+    return treap::Impl::lookup(d, key, value_out);
   }
 }
 
@@ -223,7 +223,7 @@ void CaTree::range_query(Key lo, Key hi, ItemVisitor visit) const {
 
   // Scan outside the locks — the conflict-time optimization of [22].
   for (const treap::Node* snapshot : snapshots) {
-    treap::for_range(snapshot, lo, hi, visit);
+    treap::Impl::for_range(snapshot, lo, hi, visit);
   }
 
   // Adaptation probe on one random covered base (single lock: safe).
@@ -274,10 +274,10 @@ std::size_t CaTree::range_update(Key lo, Key hi,
     if (old == nullptr) continue;
     treap::Ref next;
     const treap::Node* old_root = old;
-    treap::for_range(old_root, kKeyMin, kKeyMax, [&](Key k, Value v) {
+    treap::Impl::for_range(old_root, kKeyMin, kKeyMax, [&](Key k, Value v) {
       const Value nv = (k >= lo && k <= hi) ? f(k, v) : v;
       if (k >= lo && k <= hi) ++updated;
-      next = treap::insert(next.get(), k, nv, nullptr);
+      next = treap::Impl::insert(next.get(), k, nv, nullptr);
     });
     base->data.store(next.release(), std::memory_order_release);
     release_container(domain_, old);
@@ -297,14 +297,14 @@ void CaTree::adapt(Node* base, Key hint) {
 
 bool CaTree::split(Node* base, Key hint) {
   const treap::Node* d = base->data.load(std::memory_order_relaxed);
-  if (treap::less_than_two_items(d)) return false;
+  if (treap::Impl::less_than_two_items(d)) return false;
   std::lock_guard<std::mutex> structure(structure_mutex_);
   Node* parent = parent_of(base, hint, nullptr);
 
   treap::Ref left_data;
   treap::Ref right_data;
   Key pivot = 0;
-  treap::split_evenly(d, &left_data, &right_data, &pivot);
+  treap::Impl::split_evenly(d, &left_data, &right_data, &pivot);
   auto* route = new Node(pivot);
   route->left.store(new Node(left_data.release()), std::memory_order_relaxed);
   route->right.store(new Node(right_data.release()),
@@ -352,8 +352,9 @@ bool CaTree::join(Node* base, Key hint) {
   const treap::Node* base_data = base->data.load(std::memory_order_relaxed);
   const treap::Node* neigh_data =
       neighbor->data.load(std::memory_order_relaxed);
-  treap::Ref merged_data = left_child ? treap::join(base_data, neigh_data)
-                                      : treap::join(neigh_data, base_data);
+  treap::Ref merged_data = left_child
+                               ? treap::Impl::join(base_data, neigh_data)
+                               : treap::Impl::join(neigh_data, base_data);
   auto* merged = new Node(merged_data.release());
 
   base->valid.store(false, std::memory_order_release);
@@ -423,7 +424,7 @@ std::size_t count_items(Node* n) {
     return count_items(n->left.load(std::memory_order_acquire)) +
            count_items(n->right.load(std::memory_order_acquire));
   }
-  return treap::size(n->data.load(std::memory_order_acquire));
+  return treap::Impl::size(n->data.load(std::memory_order_acquire));
 }
 
 std::size_t count_routes(Node* n) {

@@ -9,9 +9,10 @@
 //
 //   * `CATS_CHECK(cond, fmt, ...)` — fatal assertion with a printf-style
 //     diagnostic, compiled to nothing when the gate is off.
-//   * `Report` — accumulator for non-fatal validators (validate_tree,
-//     treap::validate, chunk::validate) so tests can inspect which invariant
-//     broke instead of just getting `false`.
+//   * `Report` — accumulator for the non-fatal validators (validate_tree,
+//     BasicTreap::validate, BasicChunk::validate; compiled in every build)
+//     so tests can inspect which invariant broke instead of just getting
+//     `false`.
 //   * Canary protocol — every reclaimable node carries a canary word (gated
 //     member) that moves Alive -> Retired -> poison; incref/decref/retire
 //     hooks verify the expected state and turn use-after-retire,

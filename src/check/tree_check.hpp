@@ -1,4 +1,5 @@
-// Structural validator for the LFCA route tree (CATS_CHECKED builds).
+// Structural validator for the LFCA route tree (every build; the canary
+// checks need CATS_CHECKED, which gives nodes their canary word).
 //
 // Walks every node reachable from the root — inside one EBR guard supplied
 // by the caller — and verifies the invariants the paper's proofs rest on:
@@ -21,16 +22,21 @@
 //   * Container invariants: the policy's own deep check (treap
 //     ordering/balance/size/fill/refcount, chunk sortedness) on every base
 //     node's immutable container — safe in both modes.
-//   * Canary sanity: reachable nodes are Alive (quiescent) or at worst
-//     Retired (concurrent: a guard-protected walker may hold a pointer into
-//     a subtree that was unlinked mid-walk); a Dead/poison canary means
-//     use-after-free and is reported in both modes.
+//   * Canary sanity (CATS_CHECKED builds): reachable nodes are Alive
+//     (quiescent) or at worst Retired (concurrent: a guard-protected walker
+//     may hold a pointer into a subtree that was unlinked mid-walk); a
+//     Dead/poison canary means use-after-free and is reported in both
+//     modes.
 //   * parent pointers (quiescent): each base node's parent field names its
 //     actual route parent — the field try_replace's unlink CAS depends on.
 //
 // The walker only reads: immutable fields directly, mutable fields through
 // their atomics.  It never blocks writers and introduces no synchronization
-// beyond the caller's guard.
+// beyond the caller's guard.  It is marked cold: it is instantiated into
+// lfca_tree.cpp next to the tree's operations, and without the attribute
+// GCC spends that translation unit's inlining budget differently on the hot
+// paths (range_query, do_update and all_in_range compile to different code
+// than without the validator).
 #pragma once
 
 #include <string>
@@ -38,8 +44,6 @@
 #include "check/check.hpp"
 #include "common/types.hpp"
 #include "lfca/node.hpp"
-
-#if CATS_CHECKED_ENABLED
 
 namespace cats::check {
 
@@ -63,10 +67,11 @@ std::string format_bound(const K* bound) {
 // exclusive, nullptr = unbounded — so any key type works, including its
 // KeyTraits extremes (the former __int128 widening was integer-only).
 template <class C>
-void validate_tree_rec(lfca::detail::Node<C>* n,
-                       lfca::detail::Node<C>* parent_route,
-                       const typename C::Key* lo, const typename C::Key* hi,
-                       TreeValidateMode mode, Report& report) {
+[[gnu::cold]] void validate_tree_rec(lfca::detail::Node<C>* n,
+                                     lfca::detail::Node<C>* parent_route,
+                                     const typename C::Key* lo,
+                                     const typename C::Key* hi,
+                                     TreeValidateMode mode, Report& report) {
   using lfca::detail::NodeType;
   using Node = lfca::detail::Node<C>;
   using K = typename C::Key;
@@ -80,6 +85,7 @@ void validate_tree_rec(lfca::detail::Node<C>* n,
     return;
   }
 
+#if CATS_CHECKED_ENABLED
   // Canary first: everything else reads fields that poison would trash.
   const std::uint64_t canary =
       n->check_canary.load(std::memory_order_relaxed);
@@ -100,6 +106,7 @@ void validate_tree_rec(lfca::detail::Node<C>* n,
                  static_cast<unsigned long long>(canary));
       return;  // fields are not trustworthy past this point
   }
+#endif
 
   if (n->type == NodeType::kRoute) {
     if ((lo != nullptr && lt(n->key, *lo)) ||
@@ -166,6 +173,7 @@ void validate_tree_rec(lfca::detail::Node<C>* n,
                    static_cast<void*>(n));
         break;
       }
+#if CATS_CHECKED_ENABLED
       const std::uint64_t main_canary =
           main->check_canary.load(std::memory_order_relaxed);
       if (canary_state(main_canary) == CanaryState::kDead) {
@@ -175,6 +183,7 @@ void validate_tree_rec(lfca::detail::Node<C>* n,
                    canary_name(main_canary));
         break;
       }
+#endif
       if (main->main_refs.load(std::memory_order_relaxed) == 0) {
         report.add("join_neighbor %p: main_node %p has main_refs 0 while "
                    "still referenced",
@@ -240,8 +249,9 @@ void validate_tree_rec(lfca::detail::Node<C>* n,
 /// called inside an EBR guard of the tree's domain.  Returns true if all
 /// checks pass; failures are appended to `report` when non-null.
 template <class C>
-bool validate_tree(lfca::detail::Node<C>* root, TreeValidateMode mode,
-                   Report* report = nullptr) {
+[[gnu::cold]] bool validate_tree(lfca::detail::Node<C>* root,
+                                 TreeValidateMode mode,
+                                 Report* report = nullptr) {
   Report local;
   Report& out = report != nullptr ? *report : local;
   const std::size_t before = out.failure_count();
@@ -254,5 +264,3 @@ bool validate_tree(lfca::detail::Node<C>* root, TreeValidateMode mode,
 }
 
 }  // namespace cats::check
-
-#endif  // CATS_CHECKED_ENABLED

@@ -1,8 +1,8 @@
 // Template implementation of the immutable sorted-array container (see
-// chunk.hpp for the design discussion).  BasicChunk<K, V, Compare> mirrors
+// chunk.hpp for the design discussion).  BasicChunk<K, V, Cmp> mirrors
 // BasicTreap's struct-as-namespace shape: one explicit instantiation per key
-// type in chunk.cpp carries all codegen, and chunk.hpp wraps the default
-// integer instantiation in the historical free-function API.
+// type in chunk.cpp carries all codegen, and the struct is itself the LFCA
+// tree's leaf-container policy (lfca/container_policy.hpp).
 //
 // The node is a flexible-array-member allocation that is never constructed —
 // fields are written with plain stores into raw pool storage — so K and V
@@ -18,11 +18,11 @@
 #include <functional>
 #include <new>
 #include <type_traits>
-#include <utility>
 
 #include "alloc/pool.hpp"
 #include "check/check.hpp"
 #include "common/catomic.hpp"
+#include "common/container_ref.hpp"
 #include "common/function_ref.hpp"
 #include "common/types.hpp"
 #include "obs/counters.hpp"
@@ -39,7 +39,7 @@ extern obs::ShardedCounters<1> g_live_nodes;
 
 }  // namespace detail
 
-template <class K, class V, class Compare = std::less<K>>
+template <class K, class V, class Cmp = std::less<K>>
 struct BasicChunk {
   static_assert(std::is_trivially_copyable_v<K> &&
                     std::is_trivially_destructible_v<K>,
@@ -50,8 +50,12 @@ struct BasicChunk {
 
   using Key = K;
   using Value = V;
+  using Compare = Cmp;
   using Item = BasicItem<K, V>;
   using Visitor = BasicItemVisitor<K, V>;
+  /// Shared-ownership handle; a default-constructed Ref is the empty chunk.
+  using Ref = ContainerRef<BasicChunk>;
+  static constexpr const char* kName = "chunk";
 
   static bool lt(const K& a, const K& b) { return Compare{}(a, b); }
   static bool le(const K& a, const K& b) { return !Compare{}(b, a); }
@@ -120,41 +124,6 @@ struct BasicChunk {
         alloc::pool_free(const_cast<Node*>(node), bytes);
     }
   }
-
-  /// Shared-ownership handle; default-constructed = empty container.
-  class Ref {
-   public:
-    Ref() noexcept = default;
-    static Ref adopt(const Node* node) noexcept {
-      Ref ref;
-      ref.node_ = node;
-      return ref;
-    }
-    Ref(const Ref& other) noexcept : node_(other.node_) {
-      if (node_ != nullptr) incref(node_);
-    }
-    Ref(Ref&& other) noexcept : node_(std::exchange(other.node_, nullptr)) {}
-    Ref& operator=(const Ref& other) noexcept {
-      Ref copy(other);
-      swap(copy);
-      return *this;
-    }
-    Ref& operator=(Ref&& other) noexcept {
-      Ref moved(std::move(other));
-      swap(moved);
-      return *this;
-    }
-    ~Ref() {
-      if (node_ != nullptr) decref(node_);
-    }
-    void swap(Ref& other) noexcept { std::swap(node_, other.node_); }
-    const Node* get() const noexcept { return node_; }
-    explicit operator bool() const noexcept { return node_ != nullptr; }
-    const Node* release() noexcept { return std::exchange(node_, nullptr); }
-
-   private:
-    const Node* node_ = nullptr;
-  };
 
   static bool lookup(const Node* chunk, const K& key, V* value_out) {
     if (chunk == nullptr) return false;
@@ -266,6 +235,10 @@ struct BasicChunk {
     *split_key_out = right->items[0].key;
   }
 
+  /// Structural checks (sorted, unique, non-empty, refcount sanity; the
+  /// node canary in CATS_CHECKED builds), appending one diagnostic line per
+  /// violated invariant to `report` (may be null).  Returns true if
+  /// everything holds.
   static bool validate(const Node* chunk, check::Report* report) {
     if (chunk == nullptr) return true;
     const void* p = chunk;
@@ -309,6 +282,7 @@ struct BasicChunk {
     return ok;
   }
 
+  /// validate() without diagnostics.
   static bool check_invariants(const Node* chunk) {
     return validate(chunk, nullptr);
   }

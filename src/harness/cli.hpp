@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "check/check.hpp"
 #include "common/types.hpp"
 #include "obs/obs.hpp"
 
@@ -21,8 +20,7 @@ namespace cats::harness {
 
 /// Process-wide period of the in-workload tree validator (0 = disabled).
 /// Set by Options::parse_into from --check-every-n-ops; read by run_mix
-/// workers.  Only effective in CATS_CHECKED builds — the validator is
-/// compiled out otherwise.
+/// workers.
 inline std::atomic<std::uint64_t> g_check_every_n_ops{0};
 
 namespace detail {
@@ -224,18 +222,12 @@ struct Options {
         }
         g_check_every_n_ops.store(opt.check_every_n_ops,
                                   std::memory_order_relaxed);
-        if (!check::kCheckedEnabled && opt.check_every_n_ops != 0) {
-          std::fprintf(stderr,
-                       "--check-every-n-ops: requested but compiled out "
-                       "(CATS_CHECKED=OFF)\n");
-        }
       } else if (const char* v = value("--trace-out=")) {
         if (*v == '\0') {
           return expected("a file path", v);
         }
-        // Unlike --check-every-n-ops (a validator that can degrade to a
-        // warning), a trace request with no recorder would produce nothing
-        // at all — refuse instead of no-opping.
+        // A trace request with no recorder would produce nothing at all —
+        // refuse instead of no-opping.
         if (!obs::kEnabled) return fail(name + kNoRecorder);
         opt.trace_out = v;
       } else if (const char* v = value("--trace-sample-shift=")) {

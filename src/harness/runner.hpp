@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "check/check.hpp"
 #include "common/padded.hpp"
 #include "common/rng.hpp"
 #include "common/spin_barrier.hpp"
@@ -136,12 +137,10 @@ RunResult run_mix(S& structure, const std::vector<ThreadGroup>& groups,
         const Mix mix = groups[g].mix;
         Xoshiro256 rng(seed * 7919 + thread_index);
         auto& my = counters[thread_index];
-#if CATS_CHECKED_ENABLED
         // --check-every-n-ops: run the concurrent-mode validator inside the
         // workload.  The period is fixed before the threads start.
         const std::uint64_t check_period =
             g_check_every_n_ops.load(std::memory_order_relaxed);
-#endif
         // Per-thread hardware counters over the measure phase (opened on
         // the worker thread itself; perf_event_open counts the caller).
         obs::flight::ThreadPerf perf;
@@ -193,7 +192,6 @@ RunResult run_mix(S& structure, const std::vector<ThreadGroup>& groups,
           // ops/sec; one relaxed sharded add, same cost class as the other
           // per-op hooks (`bench_paper obs` measures the total within noise).
           CATS_OBS_ONLY(obs::count(obs::GCounter::kHarnessOps));
-#if CATS_CHECKED_ENABLED
           if (check_period != 0 && my.ops % check_period == 0) {
             if constexpr (requires(const S& s, std::string* d) {
                             { s.validate(d, false) } -> std::same_as<bool>;
@@ -207,7 +205,6 @@ RunResult run_mix(S& structure, const std::vector<ThreadGroup>& groups,
               }
             }
           }
-#endif
         }
         thread_perf[thread_index] = perf.stop();
       });

@@ -28,7 +28,7 @@ class ImTreeSet {
   // catslint: quiescent(destructor; caller guarantees no concurrent access)
   ~ImTreeSet() {
     const treap::Node* root = root_.load(std::memory_order_relaxed);
-    if (root != nullptr) treap::detail::decref(root);
+    if (root != nullptr) treap::Impl::decref(root);
   }
 
   ImTreeSet(const ImTreeSet&) = delete;
@@ -40,7 +40,7 @@ class ImTreeSet {
     while (true) {
       const treap::Node* old_root = root_.load(std::memory_order_acquire);
       bool replaced = false;
-      treap::Ref next = treap::insert(old_root, key, value, &replaced);
+      treap::Ref next = treap::Impl::insert(old_root, key, value, &replaced);
       if (publish(old_root, next)) return !replaced;
     }
   }
@@ -51,7 +51,7 @@ class ImTreeSet {
     while (true) {
       const treap::Node* old_root = root_.load(std::memory_order_acquire);
       bool removed = false;
-      treap::Ref next = treap::remove(old_root, key, &removed);
+      treap::Ref next = treap::Impl::remove(old_root, key, &removed);
       if (!removed) return false;  // nothing to publish
       if (publish(old_root, next)) return true;
     }
@@ -60,19 +60,20 @@ class ImTreeSet {
   /// Wait-free.
   bool lookup(Key key, Value* value_out = nullptr) const {
     reclaim::Domain::Guard guard(domain_);
-    return treap::lookup(root_.load(std::memory_order_acquire), key,
-                         value_out);
+    return treap::Impl::lookup(root_.load(std::memory_order_acquire), key,
+                               value_out);
   }
 
   /// Wait-free snapshot range query with O(1) conflict time.
   void range_query(Key lo, Key hi, ItemVisitor visit) const {
     reclaim::Domain::Guard guard(domain_);
-    treap::for_range(root_.load(std::memory_order_acquire), lo, hi, visit);
+    treap::Impl::for_range(root_.load(std::memory_order_acquire), lo, hi,
+                           visit);
   }
 
   std::size_t size() const {
     reclaim::Domain::Guard guard(domain_);
-    return treap::size(root_.load(std::memory_order_acquire));
+    return treap::Impl::size(root_.load(std::memory_order_acquire));
   }
 
   /// O(1) linearizable clone — the multi-item operation the paper contrasts
@@ -83,7 +84,7 @@ class ImTreeSet {
     ImTreeSet copy(domain_);
     const treap::Node* root = root_.load(std::memory_order_acquire);
     if (root != nullptr) {
-      treap::detail::incref(root);
+      treap::Impl::incref(root);
       copy.root_.store(root, std::memory_order_release);
     }
     return copy;
@@ -109,7 +110,7 @@ class ImTreeSet {
         // later version that is itself retired.
         domain_.retire_shared(
             const_cast<treap::Node*>(expected), +[](void* p) {
-              treap::detail::decref(static_cast<const treap::Node*>(p));
+              treap::Impl::decref(static_cast<const treap::Node*>(p));
             });
       }
       return true;

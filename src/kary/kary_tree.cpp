@@ -22,7 +22,7 @@ struct KaryTree::Node {
   Node(const treap::Node* d, Node* p)  // leaf (takes ownership of d)
       : is_route(false), key(0), data(d), parent(p) {}
   ~Node() {
-    if (data != nullptr) treap::detail::decref(data);
+    if (data != nullptr) treap::Impl::decref(data);
   }
 };
 
@@ -87,8 +87,8 @@ bool KaryTree::insert(Key key, Value value) {
   while (true) {
     Node* leaf = find_leaf(key);
     bool replaced = false;
-    treap::Ref next = treap::insert(leaf->data, key, value, &replaced);
-    if (treap::size(next) <= k_) {
+    treap::Ref next = treap::Impl::insert(leaf->data, key, value, &replaced);
+    if (treap::Impl::size(next.get()) <= k_) {
       auto* fresh = new Node(next.release(), leaf->parent);
       if (try_replace(leaf, fresh)) return !replaced;
       delete fresh;  // catslint: direct-delete(never published; CAS lost)
@@ -98,7 +98,7 @@ bool KaryTree::insert(Key key, Value value) {
     treap::Ref left_half;
     treap::Ref right_half;
     Key pivot = 0;
-    treap::split_evenly(next.get(), &left_half, &right_half, &pivot);
+    treap::Impl::split_evenly(next.get(), &left_half, &right_half, &pivot);
     auto* route = new Node(pivot);
     auto* lleaf = new Node(left_half.release(), route);
     auto* rleaf = new Node(right_half.release(), route);
@@ -118,7 +118,7 @@ bool KaryTree::remove(Key key) {
   while (true) {
     Node* leaf = find_leaf(key);
     bool removed = false;
-    treap::Ref next = treap::remove(leaf->data, key, &removed);
+    treap::Ref next = treap::Impl::remove(leaf->data, key, &removed);
     if (!removed) return false;
     auto* fresh = new Node(next.release(), leaf->parent);
     if (try_replace(leaf, fresh)) return true;
@@ -128,7 +128,7 @@ bool KaryTree::remove(Key key) {
 
 bool KaryTree::lookup(Key key, Value* value_out) const {
   reclaim::Domain::Guard guard(domain_);
-  return treap::lookup(find_leaf(key)->data, key, value_out);
+  return treap::Impl::lookup(find_leaf(key)->data, key, value_out);
 }
 
 void KaryTree::collect(Node* n, Key lo, Key hi,
@@ -161,7 +161,7 @@ void KaryTree::range_query(Key lo, Key hi, ItemVisitor visit) const {
     if (scan1 == scan2) break;
     range_retries_.fetch_add(1, std::memory_order_relaxed);
   }
-  for (Node* leaf : scan1) treap::for_range(leaf->data, lo, hi, visit);
+  for (Node* leaf : scan1) treap::Impl::for_range(leaf->data, lo, hi, visit);
 }
 
 namespace {
@@ -171,7 +171,7 @@ std::size_t count_items(KaryTree::Node* n) {
     return count_items(n->left.load(std::memory_order_acquire)) +
            count_items(n->right.load(std::memory_order_acquire));
   }
-  return treap::size(n->data);
+  return treap::Impl::size(n->data);
 }
 
 std::size_t count_routes(KaryTree::Node* n) {

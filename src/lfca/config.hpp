@@ -4,7 +4,7 @@
 // when operations run unimpeded or when range queries span several base
 // nodes; crossing `high_cont` triggers a split, crossing `low_cont` a join.
 // The paper fixes these at compile time; we make them per-tree so the
-// ablation benchmarks (bench/bench_ablation.cpp) can probe the design space.
+// ablation scenario (`bench_paper ablation`) can probe the design space.
 #pragma once
 
 namespace cats::lfca {

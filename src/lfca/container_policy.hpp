@@ -5,19 +5,19 @@
 // A policy supplies an immutable, reference-counted ordered container with
 // O(log n)-or-better lookup and persistent insert/remove/join/split, plus
 // the key/value/comparator types the tree is instantiated over (the
-// LeafContainer concept below).  Two container families are provided, each
-// generic in <K, V, Compare>:
+// LeafContainer concept below).  The two container templates are the
+// policies themselves, each generic in <K, V, Cmp>:
 //
-//   BasicTreapContainer — the paper's choice: balanced fat-leaf tree,
-//                         O(log n) updates and splits/joins (src/treap).
-//   BasicChunkContainer — a flat immutable sorted array as used by the
-//                         k-ary tree and the Leaplist: O(n) updates,
-//                         unbeatable scan locality (src/chunk).  §3
-//                         explains why this degrades when base nodes grow —
-//                         bench_ablation measures it.
+//   treap::BasicTreap — the paper's choice: balanced fat-leaf tree,
+//                       O(log n) updates and splits/joins (src/treap).
+//   chunk::BasicChunk — a flat immutable sorted array as used by the k-ary
+//                       tree and the Leaplist: O(n) updates, unbeatable
+//                       scan locality (src/chunk).  §3 explains why this
+//                       degrades when base nodes grow — `bench_paper
+//                       ablation` measures it.
 //
-// TreapContainer / ChunkContainer are the historical integer-key aliases;
-// the Str* aliases carry the interned string-key instantiation.
+// TreapContainer / ChunkContainer are the integer-key aliases; the Str*
+// aliases carry the interned string-key instantiation.
 #pragma once
 
 #include <concepts>
@@ -25,7 +25,6 @@
 #include <functional>
 
 #include "chunk/chunk.hpp"
-#include "common/function_ref.hpp"
 #include "common/strkey.hpp"
 #include "common/types.hpp"
 #include "treap/treap.hpp"
@@ -62,103 +61,13 @@ concept LeafContainer = requires(const typename C::Node* n,
   { C::size(n) } -> std::same_as<std::size_t>;
 };
 
-template <class K, class V, class Cmp = std::less<K>>
-struct BasicTreapContainer {
-  using Impl = treap::BasicTreap<K, V, Cmp>;
-  using Node = typename Impl::Node;
-  using Ref = typename Impl::Ref;
-  using Key = K;
-  using Value = V;
-  using Compare = Cmp;
-  using Visitor = BasicItemVisitor<K, V>;
-  static constexpr const char* kName = "treap";
-
-  static void incref(const Node* n) { Impl::incref(n); }
-  static void decref(const Node* n) { Impl::decref(n); }
-  static Ref insert(const Node* t, const K& k, const V& v, bool* replaced) {
-    return Impl::insert(t, k, v, replaced);
-  }
-  static Ref remove(const Node* t, const K& k, bool* removed) {
-    return Impl::remove(t, k, removed);
-  }
-  static bool lookup(const Node* t, const K& k, V* v) {
-    return Impl::lookup(t, k, v);
-  }
-  static Ref join(const Node* l, const Node* r) { return Impl::join(l, r); }
-  static void split_evenly(const Node* t, Ref* l, Ref* r, K* pivot) {
-    Impl::split_evenly(t, l, r, pivot);
-  }
-  static void for_range(const Node* t, const K& lo, const K& hi,
-                        Visitor visit) {
-    Impl::for_range(t, lo, hi, visit);
-  }
-  static bool empty(const Node* t) { return Impl::empty(t); }
-  static bool less_than_two_items(const Node* t) {
-    return Impl::less_than_two_items(t);
-  }
-  static K min_key(const Node* t) { return Impl::min_key(t); }
-  static K max_key(const Node* t) { return Impl::max_key(t); }
-  static std::size_t size(const Node* t) { return Impl::size(t); }
-  static bool check_invariants(const Node* t) {
-    return Impl::check_invariants(t);
-  }
-  static bool validate(const Node* t, check::Report* report) {
-    return Impl::validate(t, report);
-  }
-};
-
-template <class K, class V, class Cmp = std::less<K>>
-struct BasicChunkContainer {
-  using Impl = chunk::BasicChunk<K, V, Cmp>;
-  using Node = typename Impl::Node;
-  using Ref = typename Impl::Ref;
-  using Key = K;
-  using Value = V;
-  using Compare = Cmp;
-  using Visitor = BasicItemVisitor<K, V>;
-  static constexpr const char* kName = "chunk";
-
-  static void incref(const Node* n) { Impl::incref(n); }
-  static void decref(const Node* n) { Impl::decref(n); }
-  static Ref insert(const Node* t, const K& k, const V& v, bool* replaced) {
-    return Impl::insert(t, k, v, replaced);
-  }
-  static Ref remove(const Node* t, const K& k, bool* removed) {
-    return Impl::remove(t, k, removed);
-  }
-  static bool lookup(const Node* t, const K& k, V* v) {
-    return Impl::lookup(t, k, v);
-  }
-  static Ref join(const Node* l, const Node* r) { return Impl::join(l, r); }
-  static void split_evenly(const Node* t, Ref* l, Ref* r, K* pivot) {
-    Impl::split_evenly(t, l, r, pivot);
-  }
-  static void for_range(const Node* t, const K& lo, const K& hi,
-                        Visitor visit) {
-    Impl::for_range(t, lo, hi, visit);
-  }
-  static bool empty(const Node* t) { return Impl::empty(t); }
-  static bool less_than_two_items(const Node* t) {
-    return Impl::less_than_two_items(t);
-  }
-  static K min_key(const Node* t) { return Impl::min_key(t); }
-  static K max_key(const Node* t) { return Impl::max_key(t); }
-  static std::size_t size(const Node* t) { return Impl::size(t); }
-  static bool check_invariants(const Node* t) {
-    return Impl::check_invariants(t);
-  }
-  static bool validate(const Node* t, check::Report* report) {
-    return Impl::validate(t, report);
-  }
-};
-
-/// Historical integer-key policies (the paper's configuration).
-using TreapContainer = BasicTreapContainer<Key, Value, std::less<Key>>;
-using ChunkContainer = BasicChunkContainer<Key, Value, std::less<Key>>;
+/// Integer-key policies (the paper's configuration).
+using TreapContainer = treap::BasicTreap<Key, Value, std::less<Key>>;
+using ChunkContainer = chunk::BasicChunk<Key, Value, std::less<Key>>;
 
 /// Interned string-key policies (see common/strkey.hpp).
-using StrTreapContainer = BasicTreapContainer<StrKey, Value, std::less<StrKey>>;
-using StrChunkContainer = BasicChunkContainer<StrKey, Value, std::less<StrKey>>;
+using StrTreapContainer = treap::BasicTreap<StrKey, Value, std::less<StrKey>>;
+using StrChunkContainer = chunk::BasicChunk<StrKey, Value, std::less<StrKey>>;
 
 static_assert(LeafContainer<TreapContainer>);
 static_assert(LeafContainer<ChunkContainer>);

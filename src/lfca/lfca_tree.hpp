@@ -97,19 +97,18 @@ class BasicLfcaTree {
   /// adaptations that raced the walk otherwise.
   obs::TopologySnapshot collect_topology() const;
 
-  /// Verifies structural invariants (route-key ordering vs. container key
-  /// ranges, container invariants are the policy's own concern).  Intended
-  /// for tests, in quiescence.
+  /// validate() in quiescent mode, without diagnostics.  Intended for
+  /// tests and benchmarks, with no operation in flight.
   bool check_integrity() const;
 
-  /// Deep validator (CATS_CHECKED builds): walks every reachable node under
-  /// one EBR guard and checks route-key BST order, base-node containment,
-  /// join-protocol reachability rules, container invariants and node
-  /// canaries (check/tree_check.hpp).  With `expect_quiescent` false, only
-  /// the subset of invariants that hold mid-operation is enforced — safe to
-  /// call concurrently with updates (used by --check-every-n-ops).  Appends
-  /// one line per violated invariant to `diagnostics` when non-null.
-  /// Always returns true when the CATS_CHECKED gate is off.
+  /// Deep validator: walks every reachable node under one EBR guard and
+  /// checks route-key BST order, base-node containment, parent pointers,
+  /// join-protocol reachability rules, range-base results, container
+  /// invariants and (CATS_CHECKED builds) node canaries
+  /// (check/tree_check.hpp).  With `expect_quiescent` false, only the
+  /// subset of invariants that hold mid-operation is enforced — safe to
+  /// call concurrently with updates (used by --check-every-n-ops).  Replaces
+  /// `*diagnostics` (when non-null) with one line per violated invariant.
   bool validate(std::string* diagnostics = nullptr,
                 bool expect_quiescent = true) const;
 

@@ -1032,50 +1032,6 @@ void topology_walk(Node<C>* n, std::uint32_t route_depth, typename C::Key lo,
 #endif
 }
 
-/// Quiescent structural check: route keys form a BST and every base node's
-/// container keys lie inside the key interval its route path implies.
-///
-/// Bounds are passed as pointers — `lo` inclusive, `hi` exclusive, nullptr
-/// meaning unbounded — so the whole key domain stays representable for any
-/// key type (the former __int128 widening only worked for integers, and
-/// silently made KeyTraits<K>::min()/max() second-class citizens).
-template <class C>
-bool check_rec(Node<C>* n, const typename C::Key* lo,
-               const typename C::Key* hi) {
-  using K = typename C::Key;
-  using Cmp = typename C::Compare;
-  const auto lt = [](const K& a, const K& b) { return Cmp{}(a, b); };
-  if (n->type == NodeType::kRoute) {
-    const K& key = n->key;
-    if (lo != nullptr && lt(key, *lo)) return false;
-    if (hi != nullptr && !lt(key, *hi)) return false;
-    // Route semantics: keys < n->key descend left, keys >= n->key right.
-    return check_rec<C>(n->left.load(std::memory_order_relaxed), lo,
-                        &n->key) &&
-           check_rec<C>(n->right.load(std::memory_order_relaxed), &n->key,
-                        hi);
-  }
-  if (C::empty(n->data)) return true;
-  K first{};
-  K last{};
-  bool started = false;
-  bool sorted = true;
-  C::for_range(n->data, KeyTraits<K>::min(), KeyTraits<K>::max(),
-               [&](K k, typename C::Value) {
-                 if (!started) {
-                   first = k;
-                   started = true;
-                 } else if (!lt(last, k)) {
-                   sorted = false;
-                 }
-                 last = k;
-               });
-  if (!sorted) return false;
-  if (lo != nullptr && lt(first, *lo)) return false;
-  if (hi != nullptr && !lt(last, *hi)) return false;
-  return true;
-}
-
 }  // namespace detail
 
 template <class C>
@@ -1092,15 +1048,12 @@ std::size_t BasicLfcaTree<C>::route_node_count() const {
 
 template <class C>
 bool BasicLfcaTree<C>::check_integrity() const {
-  reclaim::Domain::Guard guard(domain_);
-  return detail::check_rec<C>(root_.load(std::memory_order_acquire), nullptr,
-                              nullptr);
+  return validate(nullptr, /*expect_quiescent=*/true);
 }
 
 template <class C>
 bool BasicLfcaTree<C>::validate(std::string* diagnostics,
                                 bool expect_quiescent) const {
-#if CATS_CHECKED_ENABLED
   reclaim::Domain::Guard guard(domain_);
   check::Report report;
   const bool ok = check::validate_tree<C>(
@@ -1110,11 +1063,6 @@ bool BasicLfcaTree<C>::validate(std::string* diagnostics,
       &report);
   if (diagnostics != nullptr) *diagnostics = report.text();
   return ok;
-#else
-  (void)expect_quiescent;
-  if (diagnostics != nullptr) diagnostics->clear();
-  return true;
-#endif
 }
 
 template <class C>

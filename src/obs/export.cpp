@@ -134,8 +134,6 @@ void write_table(std::ostream& os, const Snapshot& snap) {
 // JSON.
 // ---------------------------------------------------------------------------
 
-namespace {
-
 void json_escape(std::ostream& os, const std::string& s) {
   os << '"';
   for (const char c : s) {
@@ -148,7 +146,8 @@ void json_escape(std::ostream& os, const std::string& s) {
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
           os << buf;
         } else {
           os << c;
@@ -157,8 +156,6 @@ void json_escape(std::ostream& os, const std::string& s) {
   }
   os << '"';
 }
-
-}  // namespace
 
 void write_histogram_json(std::ostream& os, const HistogramSnapshot& h) {
   os << "{\"count\":" << h.count << ",\"sum\":" << h.sum

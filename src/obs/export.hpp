@@ -72,6 +72,11 @@ void write_table(std::ostream& os, const Snapshot& snap);
 void write_json(std::ostream& os, const Snapshot& snap);
 void write_prometheus(std::ostream& os, const Snapshot& snap);
 
+/// Writes `s` as a quoted JSON string: quote, backslash and every control
+/// byte escaped, all other bytes verbatim.  The one escaper of every JSON
+/// exporter (metrics, topology), so a key label reads the same in each.
+void json_escape(std::ostream& os, const std::string& s);
+
 /// One histogram as a JSON object ({"count":...,"buckets":[...]}); the
 /// building block of write_json, shared with the topology exporter.
 void write_histogram_json(std::ostream& os, const HistogramSnapshot& h);

@@ -7,32 +7,6 @@
 
 namespace cats::obs {
 
-namespace {
-
-// Minimal JSON string escape for formatted key labels (export.cpp keeps its
-// own copy private; labels only need the common escapes).
-void write_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << ' ';  // control chars cannot appear in formatted keys
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
-
 void TopologySnapshot::add_base_heat(const BaseHeat& base) {
   heat_cas_fails += base.cas_fails;
   heat_helps += base.helps;
@@ -116,7 +90,7 @@ void write_topology_json(std::ostream& os, const TopologySnapshot& topo) {
     os << "{\"depth\":" << base.depth << ",\"key_lo\":" << base.key_lo;
     if (!base.key_label.empty()) {
       os << ",\"key_label\":";
-      write_escaped(os, base.key_label);
+      json_escape(os, base.key_label);
     }
     os << ",\"cas_fails\":" << base.cas_fails << ",\"helps\":" << base.helps
        << ",\"items\":" << base.items << ",\"stat\":" << base.stat << '}';

@@ -17,12 +17,12 @@
 // operation is a pure function: inputs are never consumed, outputs carry
 // fresh references owned by the caller (wrapped in `Ref`).
 //
-// The implementation is the BasicTreap<K, V, Compare> template
-// (treap_impl.hpp); this header keeps the historical free-function API as
-// inline wrappers over the default <int64_t, uint64_t, std::less>
-// instantiation, which is explicitly instantiated in treap.cpp (the extern
-// template below) — the int fast path compiles in the same translation unit
-// it always did.
+// The implementation is the BasicTreap<K, V, Cmp> template (treap_impl.hpp),
+// whose statics are the whole API and which is itself the LFCA tree's
+// leaf-container policy.  This header names the default <int64_t, uint64_t,
+// std::less> instantiation `Impl`; it is explicitly instantiated in
+// treap.cpp (the extern template below), so the int fast path's codegen
+// lives in one translation unit.
 //
 // Complexity (n items, fat leaves of up to kLeafCapacity items):
 //   lookup                O(log n)
@@ -34,10 +34,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 
-#include "check/check.hpp"
-#include "common/function_ref.hpp"
 #include "common/types.hpp"
 #include "treap/treap_impl.hpp"
 
@@ -56,96 +53,6 @@ std::uint32_t leaf_fill();
 using Node = Impl::Node;
 using Ref = Impl::Ref;
 
-namespace detail {
-inline void incref(const Node* node) noexcept { Impl::incref(node); }
-inline void decref(const Node* node) noexcept { Impl::decref(node); }
-}  // namespace detail
-
-// --- Queries (accept raw node pointers so lock-free readers can use them
-// --- on pointers protected by an epoch guard rather than a Ref). ----------
-
-/// Looks up `key`; writes the value through `value_out` (may be null).
-inline bool lookup(const Node* tree, Key key, Value* value_out) {
-  return Impl::lookup(tree, key, value_out);
-}
-
-inline std::size_t size(const Node* tree) { return Impl::size(tree); }
-inline bool empty(const Node* tree) { return Impl::empty(tree); }
-/// True if the container holds fewer than two items (split precondition).
-inline bool less_than_two_items(const Node* tree) {
-  return Impl::less_than_two_items(tree);
-}
-/// Smallest / largest key.  Precondition: !empty(tree).
-inline Key min_key(const Node* tree) { return Impl::min_key(tree); }
-inline Key max_key(const Node* tree) { return Impl::max_key(tree); }
-
-/// Visits every item with lo <= key <= hi in ascending key order.
-inline void for_range(const Node* tree, Key lo, Key hi, ItemVisitor visit) {
-  Impl::for_range(tree, lo, hi, visit);
-}
-/// Visits every item in ascending key order.
-inline void for_all(const Node* tree, ItemVisitor visit) {
-  Impl::for_all(tree, visit);
-}
-
-/// Key of rank `index` (0-based, ascending).  Precondition: index < size.
-inline Key select(const Node* tree, std::size_t index) {
-  return Impl::select(tree, index);
-}
-
-// --- Persistent updates (pure; inputs not consumed). ----------------------
-
-/// Returns a version with (key, value) present.  `*replaced_out` (may be
-/// null) is set to true iff an existing item with `key` was overwritten.
-inline Ref insert(const Node* tree, Key key, Value value,
-                  bool* replaced_out = nullptr) {
-  return Impl::insert(tree, key, value, replaced_out);
-}
-
-/// Returns a version without `key`.  `*removed_out` (may be null) is set to
-/// true iff an item was removed.
-inline Ref remove(const Node* tree, Key key, bool* removed_out = nullptr) {
-  return Impl::remove(tree, key, removed_out);
-}
-
-/// Concatenates two trees; every key in `left` must be smaller than every
-/// key in `right`.
-inline Ref join(const Node* left, const Node* right) {
-  return Impl::join(left, right);
-}
-
-/// Splits by key: `left_out` receives keys < key, `right_out` keys >= key.
-inline void split(const Node* tree, Key key, Ref* left_out, Ref* right_out) {
-  Impl::split(tree, key, left_out, right_out);
-}
-
-/// Splits into halves of (nearly) equal size.  `split_key_out` receives the
-/// smallest key of the right half (route-node semantics: < key goes left).
-/// Precondition: size(tree) >= 2.
-inline void split_evenly(const Node* tree, Ref* left_out, Ref* right_out,
-                         Key* split_key_out) {
-  Impl::split_evenly(tree, left_out, right_out, split_key_out);
-}
-
-// --- Introspection for tests and statistics. ------------------------------
-
-/// Height of the tree (empty = 0, single leaf = 1).
-inline std::size_t height(const Node* tree) { return Impl::height(tree); }
-/// Number of fat leaves.
-inline std::size_t leaf_count(const Node* tree) {
-  return Impl::leaf_count(tree);
-}
-/// Verifies all structural invariants (ordering, balance, sizes, min/max
-/// caches, inner pivots, leaf fill bounds).  Returns true if they all hold.
-inline bool check_invariants(const Node* tree) {
-  return Impl::check_invariants(tree);
-}
-/// Same checks with one diagnostic line per violated invariant appended to
-/// `report` (CATS_CHECKED builds additionally verify node canaries and
-/// refcount sanity).  Returns true if everything holds.
-inline bool validate(const Node* tree, check::Report* report) {
-  return Impl::validate(tree, report);
-}
 /// Total live node count across all trees — and all key-type instantiations
 /// (leak detection in tests).
 std::size_t live_nodes();
@@ -163,17 +70,5 @@ void corrupt_pivot(const Node* tree);
 void corrupt_canary(const Node* tree);
 }  // namespace testing
 #endif
-
-// Convenience overloads on Ref.
-inline bool lookup(const Ref& t, Key k, Value* v) { return lookup(t.get(), k, v); }
-inline std::size_t size(const Ref& t) { return size(t.get()); }
-inline bool empty(const Ref& t) { return empty(t.get()); }
-inline Ref insert(const Ref& t, Key k, Value v, bool* r = nullptr) {
-  return insert(t.get(), k, v, r);
-}
-inline Ref remove(const Ref& t, Key k, bool* r = nullptr) {
-  return remove(t.get(), k, r);
-}
-inline Ref join(const Ref& l, const Ref& r) { return join(l.get(), r.get()); }
 
 }  // namespace cats::treap

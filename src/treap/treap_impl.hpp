@@ -1,11 +1,10 @@
 // Template implementation of the immutable fat-leaf leaf container (see
-// treap.hpp for the design discussion).  BasicTreap<K, V, Compare> is a
+// treap.hpp for the design discussion).  BasicTreap<K, V, Cmp> is a
 // struct-as-namespace: every node type and operation of the container lives
 // inside one template, so a single explicit instantiation in treap.cpp
-// centralizes all codegen for a given key type (the historical
-// <int64_t, uint64_t, std::less> instantiation keeps compiling in the same
-// translation unit it always did, and treap.hpp's free functions are thin
-// inline wrappers over it).
+// centralizes all codegen for a given key type.  The struct is itself the
+// LFCA tree's leaf-container policy (lfca/container_policy.hpp): it carries
+// Key/Value/Compare, kName, incref/decref and the persistent operations.
 //
 // Ordering is defined exclusively through Compare: `a <= b` is spelled
 // `!comp(b, a)`, equality `!comp(a, b) && !comp(b, a)`.  Key-domain bounds
@@ -22,11 +21,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
-#include <utility>
 
 #include "alloc/pool.hpp"
 #include "check/check.hpp"
 #include "common/catomic.hpp"
+#include "common/container_ref.hpp"
 #include "common/function_ref.hpp"
 #include "common/padded.hpp"
 #include "common/types.hpp"
@@ -68,12 +67,16 @@ inline bool flag(check::Report* report, const char* fmt, ...) {
 
 }  // namespace detail
 
-template <class K, class V, class Compare = std::less<K>>
+template <class K, class V, class Cmp = std::less<K>>
 struct BasicTreap {
   using Key = K;
   using Value = V;
+  using Compare = Cmp;
   using Item = BasicItem<K, V>;
   using Visitor = BasicItemVisitor<K, V>;
+  /// Shared-ownership handle; a default-constructed Ref is the empty tree.
+  using Ref = ContainerRef<BasicTreap>;
+  static constexpr const char* kName = "treap";
 
   // Ordering helpers: everything below uses only these, never raw operators.
   static bool lt(const K& a, const K& b) { return Compare{}(a, b); }
@@ -210,47 +213,6 @@ struct BasicTreap {
       node = right;   // iterate down the other spine
     }
   }
-
-  /// Shared-ownership handle to an immutable tree.  A default-constructed
-  /// Ref is the empty container.
-  class Ref {
-   public:
-    Ref() noexcept = default;
-    /// Adopts an already-owned reference (used by the implementation).
-    static Ref adopt(const Node* node) noexcept {
-      Ref ref;
-      ref.node_ = node;
-      return ref;
-    }
-
-    Ref(const Ref& other) noexcept : node_(other.node_) {
-      if (node_ != nullptr) incref(node_);
-    }
-    Ref(Ref&& other) noexcept : node_(std::exchange(other.node_, nullptr)) {}
-    Ref& operator=(const Ref& other) noexcept {
-      Ref copy(other);
-      swap(copy);
-      return *this;
-    }
-    Ref& operator=(Ref&& other) noexcept {
-      Ref moved(std::move(other));
-      swap(moved);
-      return *this;
-    }
-    ~Ref() {
-      if (node_ != nullptr) decref(node_);
-    }
-
-    void swap(Ref& other) noexcept { std::swap(node_, other.node_); }
-    const Node* get() const noexcept { return node_; }
-    explicit operator bool() const noexcept { return node_ != nullptr; }
-
-    /// Releases ownership without decrementing (for handoff into atomics).
-    const Node* release() noexcept { return std::exchange(node_, nullptr); }
-
-   private:
-    const Node* node_ = nullptr;
-  };
 
   // -------------------------------------------------------------------------
   // Internal builders.
@@ -505,9 +467,12 @@ struct BasicTreap {
   }
 
   // -------------------------------------------------------------------------
-  // Public operations (mirroring the classic free-function API).
+  // Public operations.  Queries take raw node pointers so lock-free readers
+  // can use them on pointers protected by an epoch guard rather than a Ref;
+  // persistent updates are pure (inputs not consumed).
   // -------------------------------------------------------------------------
 
+  /// Looks up `key`; writes the value through `value_out` (may be null).
   static bool lookup(const Node* tree, const K& key, V* value_out) {
     const Node* n = tree;
     if (n == nullptr) return false;
@@ -529,8 +494,10 @@ struct BasicTreap {
 
   static bool empty(const Node* tree) { return tree == nullptr; }
 
+  /// True if the container holds fewer than two items (split precondition).
   static bool less_than_two_items(const Node* tree) { return size(tree) < 2; }
 
+  /// Smallest / largest key.  Precondition: !empty(tree).
   static K min_key(const Node* tree) {
     assert(tree != nullptr);
     return tree->min_key;
@@ -541,6 +508,7 @@ struct BasicTreap {
     return tree->max_key;
   }
 
+  /// Visits every item with lo <= key <= hi in ascending key order.
   static void for_range(const Node* tree, const K& lo, const K& hi,
                         Visitor visit) {
     if (tree == nullptr || lt(tree->max_key, lo) || lt(hi, tree->min_key)) {
@@ -562,6 +530,7 @@ struct BasicTreap {
     for_range(in->right, lo, hi, visit);
   }
 
+  /// Visits every item in ascending key order.
   static void for_all(const Node* tree, Visitor visit) {
     for_range(tree, KeyTraits<K>::min(), KeyTraits<K>::max(), visit);
   }
@@ -582,6 +551,8 @@ struct BasicTreap {
     return as_leaf(n)->items[index].key;
   }
 
+  /// Returns a version with (key, value) present.  `*replaced_out` (may be
+  /// null) is set to true iff an existing item with `key` was overwritten.
   static Ref insert(const Node* tree, const K& key, const V& value,
                     bool* replaced_out = nullptr) {
     bool replaced = false;
@@ -596,6 +567,8 @@ struct BasicTreap {
     return Ref::adopt(result);
   }
 
+  /// Returns a version without `key`.  `*removed_out` (may be null) is set
+  /// to true iff an item was removed.
   static Ref remove(const Node* tree, const K& key,
                     bool* removed_out = nullptr) {
     bool removed = false;
@@ -605,6 +578,8 @@ struct BasicTreap {
     return Ref::adopt(result);
   }
 
+  /// Concatenates two trees; every key in `left` must be smaller than every
+  /// key in `right`.
   static Ref join(const Node* left, const Node* right) {
     assert(left == nullptr || right == nullptr ||
            lt(left->max_key, right->min_key));
@@ -615,6 +590,7 @@ struct BasicTreap {
     return Ref::adopt(join_nodes(l, r));
   }
 
+  /// Splits by key: `left_out` receives keys < key, `right_out` keys >= key.
   static void split(const Node* tree, const K& key, Ref* left_out,
                     Ref* right_out) {
     const Node* lo = nullptr;
@@ -624,6 +600,9 @@ struct BasicTreap {
     *right_out = Ref::adopt(hi);
   }
 
+  /// Splits into halves of (nearly) equal size.  `split_key_out` receives
+  /// the smallest key of the right half (route-node semantics: < key goes
+  /// left).  Precondition: size(tree) >= 2.
   static void split_evenly(const Node* tree, Ref* left_out, Ref* right_out,
                            K* split_key_out) {
     assert(size(tree) >= 2);
@@ -632,10 +611,12 @@ struct BasicTreap {
     *split_key_out = pivot;
   }
 
+  /// Height of the tree (empty = 0, single leaf = 1).
   static std::size_t height(const Node* tree) {
     return tree == nullptr ? 0 : tree->height;
   }
 
+  /// Number of fat leaves.
   static std::size_t leaf_count(const Node* tree) {
     if (tree == nullptr) return 0;
     if (tree->is_leaf) return 1;
@@ -747,10 +728,16 @@ struct BasicTreap {
     return ok;
   }
 
+  /// Verifies all structural invariants (ordering, balance, sizes, min/max
+  /// caches, inner pivots, leaf fill bounds, refcount sanity; CATS_CHECKED
+  /// builds also verify node canaries), appending one diagnostic line per
+  /// violated invariant to `report` (may be null).  Returns true if
+  /// everything holds.
   static bool validate(const Node* tree, check::Report* report) {
     return tree == nullptr || validate_rec(tree, report);
   }
 
+  /// validate() without diagnostics.
   static bool check_invariants(const Node* tree) {
     return validate(tree, nullptr);
   }

@@ -3,7 +3,8 @@
 // the canary protocol and the retired-pointer registry — including negative
 // death tests proving each checker class actually fires on a deliberately
 // planted bug.  In CATS_CHECKED=OFF builds only the always-available
-// surface (Report, structural validate, no-op tree validate) is exercised.
+// surface (Report, the container validators and the route-tree validator
+// without its canary checks) is exercised.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 
 #include "alloc/pool.hpp"
 #include "check/check.hpp"
+#include "check/tree_check.hpp"
 #include "chunk/chunk.hpp"
 #include "harness/cli.hpp"
 #include "harness/runner.hpp"
@@ -26,6 +28,8 @@ namespace {
 
 using cats::Key;
 using cats::Value;
+using Treap = cats::treap::Impl;
+using Chunk = cats::chunk::Impl;
 
 // --- Always-available surface (both gate settings). ------------------------
 
@@ -59,25 +63,25 @@ TEST(CheckGate, MacrosAreSafeStatements) {
 }
 
 TEST(TreapValidator, AcceptsWellFormedTree) {
-  cats::treap::Ref tree;
+  Treap::Ref tree;
   for (Key k = 0; k < 500; ++k) {
-    tree = cats::treap::insert(tree.get(), k * 3, static_cast<Value>(k));
+    tree = Treap::insert(tree.get(), k * 3, static_cast<Value>(k));
   }
   cats::check::Report report;
-  EXPECT_TRUE(cats::treap::validate(tree.get(), &report)) << report.text();
+  EXPECT_TRUE(Treap::validate(tree.get(), &report)) << report.text();
   EXPECT_TRUE(report.ok());
-  EXPECT_TRUE(cats::treap::validate(nullptr, &report));
+  EXPECT_TRUE(Treap::validate(nullptr, &report));
 }
 
 TEST(ChunkValidator, AcceptsWellFormedChunk) {
-  cats::chunk::Ref chunk;
+  Chunk::Ref chunk;
   for (Key k = 0; k < 100; ++k) {
-    chunk = cats::chunk::insert(chunk.get(), k * 7, static_cast<Value>(k));
+    chunk = Chunk::insert(chunk.get(), k * 7, static_cast<Value>(k));
   }
   cats::check::Report report;
-  EXPECT_TRUE(cats::chunk::validate(chunk.get(), &report)) << report.text();
+  EXPECT_TRUE(Chunk::validate(chunk.get(), &report)) << report.text();
   EXPECT_TRUE(report.ok());
-  EXPECT_TRUE(cats::chunk::validate(nullptr, &report));
+  EXPECT_TRUE(Chunk::validate(nullptr, &report));
 }
 
 TEST(TreeValidator, AcceptsQuiescentTreeWithStructure) {
@@ -139,10 +143,45 @@ TEST(TreeValidator, ConcurrentModeHoldsUnderLoad) {
   EXPECT_TRUE(tree.validate(&diagnostics)) << diagnostics;
 }
 
+TEST(TreeValidator, ReportsContainmentAndParentFaults) {
+  // A hand-built route tree: route(10) whose left base holds key 20
+  // (outside its path interval [-inf, 10)) and whose right base names the
+  // wrong parent.  Both faults are quiescent-only invariants.
+  using C = cats::lfca::TreapContainer;
+  using Node = cats::lfca::detail::Node<C>;
+  using cats::lfca::detail::NodeType;
+  auto* route = new Node(NodeType::kRoute);
+  route->key = 10;
+  auto* left = new Node(NodeType::kNormal);
+  left->data = C::insert(nullptr, 20, 1).release();
+  left->parent = route;
+  auto* right = new Node(NodeType::kNormal);
+  right->parent = left;
+  route->left.store(left, std::memory_order_relaxed);
+  route->right.store(right, std::memory_order_relaxed);
+
+  cats::check::Report report;
+  EXPECT_FALSE(cats::check::validate_tree<C>(
+      route, cats::check::TreeValidateMode::kQuiescent, &report));
+  EXPECT_EQ(report.failure_count(), 2u) << report.text();
+  EXPECT_NE(report.text().find("escape the path interval"), std::string::npos)
+      << report.text();
+  EXPECT_NE(report.text().find("parent pointer"), std::string::npos)
+      << report.text();
+  cats::check::Report concurrent;
+  EXPECT_TRUE(cats::check::validate_tree<C>(
+      route, cats::check::TreeValidateMode::kConcurrent, &concurrent))
+      << concurrent.text();
+
+  delete left;
+  delete right;
+  delete route;
+}
+
 TEST(Harness, CheckEveryNOpsRunsInsideWorkload) {
-  // Exercises the --check-every-n-ops path: with the gate on, each worker
-  // validates the tree every 512 of its own operations; with the gate off
-  // the knob is inert.  Either way the run must complete normally.
+  // Exercises the --check-every-n-ops path: each worker validates the tree
+  // in concurrent mode every 512 of its own operations, and the run must
+  // complete normally.
   cats::harness::g_check_every_n_ops.store(512, std::memory_order_relaxed);
   cats::lfca::LfcaTree tree;
   cats::harness::prefill(tree, 1024);
@@ -192,45 +231,45 @@ TEST(CanaryDeath, DoubleRetireOfCanaryAborts) {
 // --- Validators fire on planted corruption. --------------------------------
 
 TEST(TreapValidator, DetectsCorruptedLeafKey) {
-  cats::treap::Ref tree;
+  Treap::Ref tree;
   for (Key k = 0; k < 300; ++k) {
-    tree = cats::treap::insert(tree.get(), k * 10, static_cast<Value>(k));
+    tree = Treap::insert(tree.get(), k * 10, static_cast<Value>(k));
   }
   cats::treap::testing::corrupt_first_leaf_key(tree.get());
   cats::check::Report report;
-  EXPECT_FALSE(cats::treap::validate(tree.get(), &report));
+  EXPECT_FALSE(Treap::validate(tree.get(), &report));
   EXPECT_FALSE(report.ok());
   EXPECT_NE(report.text().find("min_key"), std::string::npos)
       << report.text();
-  EXPECT_FALSE(cats::treap::check_invariants(tree.get()));
+  EXPECT_FALSE(Treap::check_invariants(tree.get()));
 }
 
 TEST(TreapValidator, DetectsCorruptedPivot) {
-  cats::treap::Ref tree;
+  Treap::Ref tree;
   for (Key k = 0; k < 300; ++k) {
-    tree = cats::treap::insert(tree.get(), k * 10, static_cast<Value>(k));
+    tree = Treap::insert(tree.get(), k * 10, static_cast<Value>(k));
   }
-  ASSERT_GT(cats::treap::leaf_count(tree.get()), 1u);
-  ASSERT_TRUE(cats::treap::validate(tree.get(), nullptr));
+  ASSERT_GT(Treap::leaf_count(tree.get()), 1u);
+  ASSERT_TRUE(Treap::validate(tree.get(), nullptr));
   cats::treap::testing::corrupt_pivot(tree.get());
   cats::check::Report report;
-  EXPECT_FALSE(cats::treap::validate(tree.get(), &report));
+  EXPECT_FALSE(Treap::validate(tree.get(), &report));
   EXPECT_NE(report.text().find("pivot"), std::string::npos) << report.text();
-  EXPECT_FALSE(cats::treap::check_invariants(tree.get()));
+  EXPECT_FALSE(Treap::check_invariants(tree.get()));
 }
 
 TEST(TreapValidator, ReportsCorruptCanaryWithoutAborting) {
   // validate() is the non-fatal path: a smashed canary becomes a report
   // line, not an abort.  The corrupted tree is deliberately leaked — the
   // destructor's decref would (correctly) die on the dead canary.
-  cats::treap::Ref tree;
+  Treap::Ref tree;
   for (Key k = 0; k < 10; ++k) {
-    tree = cats::treap::insert(tree.get(), k, static_cast<Value>(k));
+    tree = Treap::insert(tree.get(), k, static_cast<Value>(k));
   }
-  const cats::treap::Node* raw = tree.release();
+  const Treap::Node* raw = tree.release();
   cats::treap::testing::corrupt_canary(raw);
   cats::check::Report report;
-  EXPECT_FALSE(cats::treap::validate(raw, &report));
+  EXPECT_FALSE(Treap::validate(raw, &report));
   EXPECT_NE(report.text().find("canary"), std::string::npos) << report.text();
 }
 
@@ -238,9 +277,9 @@ TEST(TreapValidatorDeath, IncrefOfCorruptCanaryAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        cats::treap::Ref tree = cats::treap::insert(nullptr, 1, 2);
+        Treap::Ref tree = Treap::insert(nullptr, 1, 2);
         cats::treap::testing::corrupt_canary(tree.get());
-        cats::treap::Ref copy = tree;  // incref hits the canary check
+        Treap::Ref copy = tree;  // incref hits the canary check
       },
       "treap node \\(incref\\) touched while its canary is");
 }
@@ -259,10 +298,10 @@ TEST(PoolPoisonDeath, UseAfterFreeOfPooledNodeHitsPoison) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        cats::treap::Ref tree = cats::treap::insert(nullptr, 1, 2);
-        const cats::treap::Node* stale = tree.get();
-        tree = cats::treap::Ref();  // last ref: poison, then back to pool
-        cats::treap::detail::incref(stale);
+        Treap::Ref tree = Treap::insert(nullptr, 1, 2);
+        const Treap::Node* stale = tree.get();
+        tree = Treap::Ref();  // last ref: poison, then back to pool
+        Treap::incref(stale);
       },
       "treap node \\(incref\\) touched while its canary is freed "
       "\\(poison\\)");
@@ -361,14 +400,17 @@ TEST(ReclamationCheckerDeath, ReclaimWithoutRetireAborts) {
 
 #else  // !CATS_CHECKED_ENABLED
 
-TEST(CheckGate, CompiledOut) {
+TEST(CheckGate, TreeValidatorRunsWithGateOff) {
   EXPECT_FALSE(cats::check::kCheckedEnabled);
-  // The tree validator is a no-op stub that reports success.
+  // Only the canary checks compile away: validate() still walks the tree,
+  // replaces the caller's diagnostics, and is what check_integrity() runs.
   cats::lfca::LfcaTree tree;
-  tree.insert(1, 2);
+  for (Key k = 1; k < 200; ++k) tree.insert(k, 2);
+  ASSERT_TRUE(tree.force_split(100));
   std::string diagnostics = "sentinel";
-  EXPECT_TRUE(tree.validate(&diagnostics));
+  EXPECT_TRUE(tree.validate(&diagnostics)) << diagnostics;
   EXPECT_TRUE(diagnostics.empty());
+  EXPECT_TRUE(tree.check_integrity());
 }
 
 #endif  // CATS_CHECKED_ENABLED

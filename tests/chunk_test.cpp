@@ -16,36 +16,36 @@ namespace {
 
 TEST(ChunkBasic, EmptyContainer) {
   Ref c;
-  EXPECT_TRUE(empty(c.get()));
-  EXPECT_EQ(size(c.get()), 0u);
-  EXPECT_FALSE(lookup(c.get(), 5, nullptr));
-  EXPECT_TRUE(check_invariants(c.get()));
+  EXPECT_TRUE(Impl::empty(c.get()));
+  EXPECT_EQ(Impl::size(c.get()), 0u);
+  EXPECT_FALSE(Impl::lookup(c.get(), 5, nullptr));
+  EXPECT_TRUE(Impl::check_invariants(c.get()));
 }
 
 TEST(ChunkBasic, InsertLookupRemove) {
   bool replaced = true;
-  Ref c = insert(nullptr, 5, 50, &replaced);
+  Ref c = Impl::insert(nullptr, 5, 50, &replaced);
   EXPECT_FALSE(replaced);
   Value v = 0;
-  ASSERT_TRUE(lookup(c.get(), 5, &v));
+  ASSERT_TRUE(Impl::lookup(c.get(), 5, &v));
   EXPECT_EQ(v, 50u);
-  Ref c2 = insert(c.get(), 5, 51, &replaced);
+  Ref c2 = Impl::insert(c.get(), 5, 51, &replaced);
   EXPECT_TRUE(replaced);
-  ASSERT_TRUE(lookup(c2.get(), 5, &v));
+  ASSERT_TRUE(Impl::lookup(c2.get(), 5, &v));
   EXPECT_EQ(v, 51u);
   // Persistence.
-  ASSERT_TRUE(lookup(c.get(), 5, &v));
+  ASSERT_TRUE(Impl::lookup(c.get(), 5, &v));
   EXPECT_EQ(v, 50u);
   bool removed = false;
-  Ref c3 = remove(c2.get(), 5, &removed);
+  Ref c3 = Impl::remove(c2.get(), 5, &removed);
   EXPECT_TRUE(removed);
-  EXPECT_TRUE(empty(c3.get()));
+  EXPECT_TRUE(Impl::empty(c3.get()));
 }
 
 TEST(ChunkBasic, RemoveAbsentSharesNode) {
-  Ref c = insert(nullptr, 1, 1);
+  Ref c = Impl::insert(nullptr, 1, 1);
   bool removed = true;
-  Ref c2 = remove(c.get(), 9, &removed);
+  Ref c2 = Impl::remove(c.get(), 9, &removed);
   EXPECT_FALSE(removed);
   EXPECT_EQ(c2.get(), c.get());  // unchanged version is shared
 }
@@ -53,25 +53,25 @@ TEST(ChunkBasic, RemoveAbsentSharesNode) {
 TEST(ChunkBasic, JoinAndSplit) {
   Ref a;
   Ref b;
-  for (Key k = 0; k < 10; ++k) a = insert(a.get(), k, 1);
-  for (Key k = 100; k < 110; ++k) b = insert(b.get(), k, 2);
-  Ref j = join(a.get(), b.get());
-  EXPECT_EQ(size(j.get()), 20u);
-  EXPECT_TRUE(check_invariants(j.get()));
+  for (Key k = 0; k < 10; ++k) a = Impl::insert(a.get(), k, 1);
+  for (Key k = 100; k < 110; ++k) b = Impl::insert(b.get(), k, 2);
+  Ref j = Impl::join(a.get(), b.get());
+  EXPECT_EQ(Impl::size(j.get()), 20u);
+  EXPECT_TRUE(Impl::check_invariants(j.get()));
   Ref l, r;
   Key pivot = 0;
-  split_evenly(j.get(), &l, &r, &pivot);
-  EXPECT_EQ(size(l.get()), 10u);
-  EXPECT_EQ(size(r.get()), 10u);
-  EXPECT_EQ(min_key(r.get()), pivot);
-  EXPECT_LT(max_key(l.get()), pivot);
+  Impl::split_evenly(j.get(), &l, &r, &pivot);
+  EXPECT_EQ(Impl::size(l.get()), 10u);
+  EXPECT_EQ(Impl::size(r.get()), 10u);
+  EXPECT_EQ(Impl::min_key(r.get()), pivot);
+  EXPECT_LT(Impl::max_key(l.get()), pivot);
 }
 
 TEST(ChunkBasic, ForRangeBounds) {
   Ref c;
-  for (Key k = 0; k < 100; k += 10) c = insert(c.get(), k, 1);
+  for (Key k = 0; k < 100; k += 10) c = Impl::insert(c.get(), k, 1);
   std::vector<Key> seen;
-  for_range(c.get(), 15, 55, [&](Key k, Value) { seen.push_back(k); });
+  Impl::for_range(c.get(), 15, 55, [&](Key k, Value) { seen.push_back(k); });
   EXPECT_EQ(seen, (std::vector<Key>{20, 30, 40, 50}));
 }
 
@@ -81,51 +81,13 @@ TEST(ChunkBasic, NoLeak) {
     Ref c;
     std::vector<Ref> versions;
     for (Key k = 0; k < 300; ++k) {
-      c = insert(c.get(), k * 3 % 301, static_cast<Value>(k));
+      c = Impl::insert(c.get(), k * 3 % 301, static_cast<Value>(k));
       if (k % 50 == 0) versions.push_back(c);
     }
-    for (Key k = 0; k < 300; k += 2) c = remove(c.get(), k);
+    for (Key k = 0; k < 300; k += 2) c = Impl::remove(c.get(), k);
   }
   EXPECT_EQ(live_nodes(), before);
 }
-
-class ChunkRandomOps : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ChunkRandomOps, MatchesReferenceModel) {
-  Xoshiro256 rng(GetParam());
-  Ref c;
-  std::map<Key, Value> model;
-  for (int i = 0; i < 3000; ++i) {
-    const Key k = rng.next_in(0, 500);
-    switch (rng.next_below(4)) {
-      case 0:
-      case 1: {
-        const Value v = rng.next();
-        bool replaced = false;
-        c = insert(c.get(), k, v, &replaced);
-        EXPECT_EQ(replaced, model.count(k) == 1);
-        model[k] = v;
-        break;
-      }
-      case 2: {
-        bool removed = false;
-        c = remove(c.get(), k, &removed);
-        EXPECT_EQ(removed, model.erase(k) == 1);
-        break;
-      }
-      default: {
-        Value v = 0;
-        EXPECT_EQ(lookup(c.get(), k, &v), model.count(k) == 1);
-        break;
-      }
-    }
-  }
-  EXPECT_EQ(size(c.get()), model.size());
-  EXPECT_TRUE(check_invariants(c.get()));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ChunkRandomOps,
-                         ::testing::Values(1, 2, 3, 4, 5));
 
 // --- The LFCA tree on chunk containers (Flexible property). ----------------
 

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -192,6 +193,25 @@ TEST(Topology, HeatmapExportsThroughJson) {
   EXPECT_EQ(snap.hot_bases[0].metric, "topo_hot_base");
   EXPECT_EQ(snap.hot_bases[0].rank, 0u);
   EXPECT_EQ(snap.hot_bases[0].cas_fails, 7u);
+}
+
+// String keys format to their raw bytes, so a key label may hold control
+// bytes; the topology JSON must carry them through unchanged, exactly as
+// the metrics JSON does.
+TEST(Topology, KeyLabelControlBytesRoundTripThroughJson) {
+  const std::string label = std::string("a\x01\"b\\c\n") + '\x1f';
+  obs::TopologySnapshot topo;
+  obs::BaseHeat hot;
+  hot.cas_fails = 1;
+  hot.key_label = label;
+  topo.add_base_heat(hot);
+
+  std::ostringstream os;
+  obs::write_topology_json(os, topo);
+  const obs::json::Value doc = obs::json::parse(os.str());
+  const auto& heatmap = doc.at("heatmap").as_array();
+  ASSERT_EQ(heatmap.size(), 1u);
+  EXPECT_EQ(heatmap[0].at("key_label").as_string(), label);
 }
 
 #if CATS_OBS_ENABLED
