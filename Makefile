@@ -1,5 +1,5 @@
 # Convenience wrappers around the cmake build.  `make lint` runs the exact
-# cats-lint gate CI enforces (all rules R0-R7, repo baseline).
+# cats-lint gate CI enforces (all rules R0-R7, zero findings).
 
 BUILD_DIR ?= build
 PYTHON    ?= python3

@@ -33,10 +33,10 @@
 // The walker only reads: immutable fields directly, mutable fields through
 // their atomics.  It never blocks writers and introduces no synchronization
 // beyond the caller's guard.  It is marked cold: it is instantiated into
-// lfca_tree.cpp next to the tree's operations, and without the attribute
-// GCC spends that translation unit's inlining budget differently on the hot
-// paths (range_query, do_update and all_in_range compile to different code
-// than without the validator).
+// the lfca_tree_*.cpp units next to the tree's operations, and without the
+// attribute GCC spends that translation unit's inlining budget differently
+// on the hot paths (range_query, do_update and all_in_range compile to
+// different code than without the validator).
 #pragma once
 
 #include <string>

@@ -148,6 +148,7 @@ class BasicLfcaTree {
   enum class ContentionInfo { kContended, kUncontended, kNoInfo };
 
   // --- help functions (paper Fig. 3/4) -----------------------------------
+  bool replace_child(Node* parent, Node* old_child, Node* new_child);
   bool try_replace(Node* b, Node* new_b);
   static bool is_replaceable(const Node* n);
   void help_if_needed(Node* n);

@@ -1,6 +1,6 @@
-// Implementation of BasicLfcaTree.  Included only by lfca_tree.cpp, which
-// explicitly instantiates the supported container policies — keep it out of
-// other translation units.
+// Implementation of BasicLfcaTree.  Included only by the lfca_tree_*.cpp
+// units, each of which explicitly instantiates one container policy — keep
+// it out of other translation units.
 //
 // Function and variable names follow the paper's pseudo-code (Figs. 3-5 and
 // 7); comments cite the corresponding line numbers.  Differences from the
@@ -10,6 +10,8 @@
 //    retires it through the EBR domain (the Java original relies on GC),
 //    and join_main nodes carry a reference count because reachable
 //    join_neighbor nodes point at them indefinitely (see node.hpp).
+//    complete_join's winners retire only after publishing DONE, so every
+//    node a helper can reach through m's plain fields outlives that helper.
 //  * `new_stat` with no contention info subtracts RANGE_CONTRIB for
 //    multi-base range queries, following the paper's prose (§4
 //    "Adaptations") rather than the pseudo-code's bare `return n->stat`,
@@ -78,32 +80,58 @@ void destroy_reachable(Node<C>* n) {
   if (n->type == NodeType::kRoute) {
     destroy_reachable<C>(n->left.load(std::memory_order_relaxed));
     destroy_reachable<C>(n->right.load(std::memory_order_relaxed));
-    delete n;  // catslint: direct-delete(quiescent teardown)
-  } else if (n->type == NodeType::kJoinMain) {
-    // Drop the tree-slot reference; a retired-but-unfreed join_neighbor may
-    // still hold one, in which case its deleter frees n later.
-    release_join_main<C>(n);
-  } else {
-    delete n;  // catslint: direct-delete(quiescent teardown)
   }
+  node_deleter<C>(n);
 }
 
+/// A new, unpublished node of `type` that takes over base node `b`'s key
+/// interval: it copies b's parent, container (taking one more reference),
+/// statistics and heat.
 template <class C>
-Node<C>* new_range_base(Node<C>* b, typename C::Key lo, typename C::Key hi,
-                        ResultStorage<C>* storage) {
-  auto* n = new Node<C>(NodeType::kRange);
+Node<C>* copy_base(NodeType type, const Node<C>* b) {
+  auto* n = new Node<C>(type);
   cats::sim_plain_write(n->parent, cats::sim_plain_read(b->parent));
   cats::sim_plain_write(n->data, cats::sim_plain_read(b->data));
   if (n->data != nullptr) C::incref(n->data);
   n->stat.store(b->stat.load(std::memory_order_relaxed),
                 std::memory_order_relaxed);
   CATS_OBS_ONLY(heat_inherit<C>(n, b));
+  return n;
+}
+
+template <class C>
+Node<C>* new_range_base(Node<C>* b, typename C::Key lo, typename C::Key hi,
+                        ResultStorage<C>* storage) {
+  Node<C>* n = copy_base<C>(NodeType::kRange, b);
   cats::sim_plain_write(n->lo, lo);
   cats::sim_plain_write(n->hi, hi);
   storage->add_ref();
   cats::sim_plain_write(n->storage, storage);
   return n;
 }
+
+/// Heatmap carry for lost publish CASes (obs builds; empty otherwise).  The
+/// loser's base was just replaced, so note() keeps the tally locally and
+/// settle() charges it to the next base found on retry: live, same key.
+template <class C>
+struct CasFailCarry {
+#if CATS_OBS_ENABLED
+  std::uint64_t pending = 0;
+
+  void note() {
+    ++pending;
+    obs::flight::note_cas_fail();
+  }
+  void settle(Node<C>* live) {
+    if (pending == 0) return;
+    live->heat_cas_fails.fetch_add(pending, std::memory_order_relaxed);
+    pending = 0;
+  }
+#else
+  void note() {}
+  void settle(Node<C>*) {}
+#endif
+};
 
 }  // namespace detail
 
@@ -132,43 +160,42 @@ BasicLfcaTree<C>::~BasicLfcaTree() {
 // Help functions (paper Fig. 3, lines 54-72 and Fig. 4, lines 74-104).
 // ---------------------------------------------------------------------------
 
-// Retires an unlinked node.  A join_main node's tree-slot reference is
-// dropped only after the grace period (direct in-guard holders), and the
-// node itself is deleted once the join_neighbor nodes referencing it are
-// gone too — see release_join_main in node.hpp.
+// Retires an unlinked node (node_deleter handles join_main's refcount).
 template <class C>
 void BasicLfcaTree<C>::retire(Node* n) {
   // Canary Alive -> Retired before the domain takes over: a second retire of
   // the same node (the bug class the canary exists for) fails immediately.
   CATS_CHECKED_ONLY(check::canary_mark_retired(n->check_canary, "lfca node"));
-  if (n->type == NodeType::kJoinMain) {
-    domain_.retire(n, &detail::join_main_unlink_deleter<C>);
-  } else {
-    domain_.retire(n, &detail::node_deleter<C>);
+  domain_.retire(n, &detail::node_deleter<C>);
+}
+
+// The one CAS that swings a tree slot from `old_child` to `new_child`: the
+// root when `parent` is null, otherwise whichever child slot of `parent`
+// holds `old_child` (false if neither does).
+template <class C>
+bool BasicLfcaTree<C>::replace_child(Node* parent, Node* old_child,
+                                     Node* new_child) {
+  cats::atomic<Node*>* slot = &root_;
+  if (parent != nullptr) {
+    if (parent->left.load(std::memory_order_acquire) == old_child) {
+      slot = &parent->left;
+    } else if (parent->right.load(std::memory_order_acquire) == old_child) {
+      slot = &parent->right;
+    } else {
+      return false;
+    }
   }
+  return slot->compare_exchange_strong(old_child, new_child,
+                                       std::memory_order_acq_rel);
 }
 
 // Paper lines 54-62.  On success the unlinked node is retired here, which
 // also makes every call site's "winner frees" rule uniform.
 template <class C>
 bool BasicLfcaTree<C>::try_replace(Node* b, Node* new_b) {
-  bool done = false;
-  Node* parent = cats::sim_plain_read(b->parent);
-  if (parent == nullptr) {
-    Node* expected = b;
-    done = root_.compare_exchange_strong(expected, new_b,
-                                         std::memory_order_acq_rel);
-  } else if (parent->left.load(std::memory_order_acquire) == b) {
-    Node* expected = b;
-    done = parent->left.compare_exchange_strong(expected, new_b,
-                                                std::memory_order_acq_rel);
-  } else if (parent->right.load(std::memory_order_acquire) == b) {
-    Node* expected = b;
-    done = parent->right.compare_exchange_strong(expected, new_b,
-                                                 std::memory_order_acq_rel);
-  }
-  if (done) retire(b);
-  return done;
+  if (!replace_child(cats::sim_plain_read(b->parent), b, new_b)) return false;
+  retire(b);
+  return true;
 }
 
 // Paper lines 63-72.
@@ -283,22 +310,10 @@ template <class C>
 bool BasicLfcaTree<C>::do_update(UpdateKind kind, Key key, Value value) {
   reclaim::Domain::Guard guard(domain_);
   ContentionInfo info = ContentionInfo::kUncontended;
-#if CATS_OBS_ENABLED
-  // Heatmap carry: a lost CAS means `base` was just replaced, so charging
-  // the failure to it would write to a retired node and lose the tally.
-  // Accumulate locally and charge the next base found on retry — it is live
-  // (we just loaded it) and covers the same key.
-  std::uint64_t pending_cas_fails = 0;
-#endif
+  detail::CasFailCarry<C> cas_fails;
   while (true) {
     Node* base = find_base_node(key);
-#if CATS_OBS_ENABLED
-    if (pending_cas_fails != 0) {
-      base->heat_cas_fails.fetch_add(pending_cas_fails,
-                                     std::memory_order_relaxed);
-      pending_cas_fails = 0;
-    }
-#endif
+    cas_fails.settle(base);
     if (is_replaceable(base)) {
       bool changed = false;
       typename C::Ref new_data =
@@ -319,10 +334,7 @@ bool BasicLfcaTree<C>::do_update(UpdateKind kind, Key key, Value value) {
       }
       delete newb;  // catslint: direct-delete(never published; CAS lost)
       count_obs(TreeCounter::kUpdateCasFails);
-      CATS_OBS_ONLY({
-        ++pending_cas_fails;
-        obs::flight::note_cas_fail();
-      });
+      cas_fails.note();
     } else {
       count_obs(TreeCounter::kUpdateBlockedRetries);
     }
@@ -487,67 +499,44 @@ typename BasicLfcaTree<C>::Node* BasicLfcaTree<C>::secure_join(
   if (!is_replaceable(n0)) return nullptr;  // line 218
 
   // Lines 219-222: replace b with the join_main node m.
-  auto* m = new Node(NodeType::kJoinMain);
-  cats::sim_plain_write(m->parent, parent);
-  cats::sim_plain_write(m->data, cats::sim_plain_read(b->data));
-  if (m->data != nullptr) C::incref(m->data);
-  m->stat.store(b->stat.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-  CATS_OBS_ONLY(detail::heat_inherit<C>(m, b));
+  Node* m = detail::copy_base<C>(NodeType::kJoinMain, b);
   m->neigh2.store(Node::preparing(), std::memory_order_relaxed);
-  {
-    auto& slot = left_child ? parent->left : parent->right;
-    Node* expected = b;
-    if (!slot.compare_exchange_strong(expected, m,
-                                      std::memory_order_acq_rel)) {
-      delete m;  // catslint: direct-delete(never published; CAS lost)
-      return nullptr;
-    }
-    retire(b);
+  if (!try_replace(b, m)) {
+    delete m;  // catslint: direct-delete(never published; CAS lost)
+    return nullptr;
   }
+  // Marks a route node with the unique join id m (lines 228-229, 232).
+  const auto mark = [m](Node* route) {
+    Node* expected = nullptr;
+    return route->join_id.compare_exchange_strong(expected, m,
+                                                  std::memory_order_acq_rel);
+  };
+  // fail0/fail1 of the pseudo-code: unmark whichever route nodes this join
+  // marked, then abort m.
+  const auto fail = [m](Node* marked_parent, Node* marked_gparent) -> Node* {
+    for (Node* route : {marked_gparent, marked_parent}) {
+      if (route != nullptr) {
+        route->join_id.store(nullptr, std::memory_order_release);
+      }
+    }
+    m->neigh2.store(Node::aborted(), std::memory_order_release);
+    return nullptr;
+  };
 
   // Lines 223-227: replace the neighbor n0 with the join_neighbor node n1.
-  auto* n1 = new Node(NodeType::kJoinNeighbor);
-  cats::sim_plain_write(n1->parent, cats::sim_plain_read(n0->parent));
-  cats::sim_plain_write(n1->data, cats::sim_plain_read(n0->data));
-  if (n1->data != nullptr) C::incref(n1->data);
-  n1->stat.store(n0->stat.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-  CATS_OBS_ONLY(detail::heat_inherit<C>(n1, n0));
+  Node* n1 = detail::copy_base<C>(NodeType::kJoinNeighbor, n0);
   cats::sim_plain_write(n1->main_node, m);
   m->main_refs.fetch_add(1, std::memory_order_relaxed);  // held by n1
   if (!try_replace(n0, n1)) {
     delete n1;  // catslint: direct-delete(never published; CAS lost)
-    m->neigh2.store(Node::aborted(), std::memory_order_release);  // fail0
-    return nullptr;
+    return fail(nullptr, nullptr);
   }
 
-  // Lines 228-229: mark the parent with the unique join id m.
-  {
-    Node* expected = nullptr;
-    if (!parent->join_id.compare_exchange_strong(
-            expected, m, std::memory_order_acq_rel)) {
-      m->neigh2.store(Node::aborted(), std::memory_order_release);  // fail0
-      return nullptr;
-    }
-  }
-
-  // Lines 230-233: find and mark the grandparent.
+  // Lines 228-233: mark the parent, then find and mark the grandparent.
+  if (!mark(parent)) return fail(nullptr, nullptr);
   Node* gparent = parent_of(parent);
-  if (gparent == Node::not_found()) {
-    parent->join_id.store(nullptr, std::memory_order_release);      // fail1
-    m->neigh2.store(Node::aborted(), std::memory_order_release);    // fail0
-    return nullptr;
-  }
-  if (gparent != nullptr) {
-    Node* expected = nullptr;
-    if (!gparent->join_id.compare_exchange_strong(
-            expected, m, std::memory_order_acq_rel)) {
-      parent->join_id.store(nullptr, std::memory_order_release);    // fail1
-      m->neigh2.store(Node::aborted(), std::memory_order_release);  // fail0
-      return nullptr;
-    }
-  }
+  if (gparent == Node::not_found()) return fail(parent, nullptr);
+  if (gparent != nullptr && !mark(gparent)) return fail(parent, nullptr);
 
   // Lines 234-236.  m is already reachable, but helpers read these three
   // fields only after observing neigh2 != preparing(), and the neigh2
@@ -593,17 +582,18 @@ typename BasicLfcaTree<C>::Node* BasicLfcaTree<C>::secure_join(
   // Lines 245-248: another thread aborted the join; roll back the marks.
   // catslint: direct-delete(never published; releases main_refs reference)
   delete n2;
-  if (gparent != nullptr) {
-    gparent->join_id.store(nullptr, std::memory_order_release);
-  }
-  parent->join_id.store(nullptr, std::memory_order_release);    // fail1
-  m->neigh2.store(Node::aborted(), std::memory_order_release);  // fail0
-  return nullptr;
+  return fail(parent, gparent);
 }
 
 // Paper lines 251-267.  May be executed concurrently by several threads for
-// the same m; every step is idempotent or guarded by a CAS whose winner
-// retires the unlinked nodes.
+// the same m; every step is idempotent or guarded by a CAS.  Unlike the
+// pseudo-code (which has a GC), the CAS winners retire neigh1, parent and
+// m's slot reference only after DONE is published, and DONE is published
+// before gparent is unmarked: a helper that loaded neigh2 before DONE still
+// dereferences neigh1, parent and gparent, and its guard may have started
+// after their unlink.  DONE is seq_cst so that the retires' epoch loads
+// cannot pass it (x86 store buffering) and stamp an epoch older than such a
+// helper's guard.
 template <class C>
 void BasicLfcaTree<C>::complete_join(Node* m) {
   Node* n2 = m->neigh2.load(std::memory_order_acquire);
@@ -617,38 +607,23 @@ void BasicLfcaTree<C>::complete_join(Node* m) {
   Node* parent = cats::sim_plain_read(m->parent);
   Node* gparent = cats::sim_plain_read(m->gparent);
   Node* otherb = cats::sim_plain_read(m->otherb);
-  try_replace(neigh1, n2);                              // line 254
-  parent->valid.store(false, std::memory_order_release);  // line 255
-  Node* replacement = otherb == neigh1 ? n2 : otherb;
-  if (gparent == nullptr) {
-    Node* expected = parent;
-    if (root_.compare_exchange_strong(expected, replacement,
-                                      std::memory_order_acq_rel)) {
-      retire(parent);
-      retire(m);
-    }
-  } else if (gparent->left.load(std::memory_order_acquire) == parent) {
-    Node* expected = parent;
-    if (gparent->left.compare_exchange_strong(expected, replacement,
-                                              std::memory_order_acq_rel)) {
-      retire(parent);
-      retire(m);
-    }
-    Node* expected_id = m;
-    gparent->join_id.compare_exchange_strong(expected_id, nullptr,
-                                             std::memory_order_acq_rel);
-  } else if (gparent->right.load(std::memory_order_acquire) == parent) {
-    Node* expected = parent;
-    if (gparent->right.compare_exchange_strong(expected, replacement,
-                                               std::memory_order_acq_rel)) {
-      retire(parent);
-      retire(m);
-    }
-    Node* expected_id = m;
-    gparent->join_id.compare_exchange_strong(expected_id, nullptr,
+  const bool won_neigh1 =                                    // line 254
+      replace_child(cats::sim_plain_read(neigh1->parent), neigh1, n2);
+  parent->valid.store(false, std::memory_order_release);    // line 255
+  const bool won_parent =                                    // lines 256-264
+      replace_child(gparent, parent, otherb == neigh1 ? n2 : otherb);
+  // catslint: seq_cst(DONE must be visible before the retire's epoch load)
+  m->neigh2.store(Node::done_mark(), std::memory_order_seq_cst);  // line 266
+  if (gparent != nullptr) {
+    Node* expected = m;
+    gparent->join_id.compare_exchange_strong(expected, nullptr,
                                              std::memory_order_acq_rel);
   }
-  m->neigh2.store(Node::done_mark(), std::memory_order_release);  // line 266
+  if (won_neigh1) retire(neigh1);
+  if (won_parent) {
+    retire(parent);
+    retire(m);  // the tree-slot reference; n1 and n2 hold the others
+  }
 }
 
 // Finds the parent of route node r by searching from the root (the paper's
@@ -748,24 +723,13 @@ const typename C::Node* BasicLfcaTree<C>::all_in_range(
   std::vector<Node*>& done = scratch->done;
   ResultStorage* my_s = nullptr;
   Node* b = nullptr;
-#if CATS_OBS_ENABLED
-  // Heatmap carry, same scheme as do_update: charge a lost CAS to the next
-  // live base found on retry, never to the already-replaced loser.
-  std::uint64_t pending_cas_fails = 0;
-  const auto settle_heat = [&](Node* live) {
-    if (pending_cas_fails != 0) {
-      live->heat_cas_fails.fetch_add(pending_cas_fails,
-                                     std::memory_order_relaxed);
-      pending_cas_fails = 0;
-    }
-  };
-#endif
+  detail::CasFailCarry<C> cas_fails;
 
   // find_first (lines 168-183).
   while (true) {
     stack.clear();
     b = find_base_stack(lo, stack);
-    CATS_OBS_ONLY(settle_heat(b));
+    cas_fails.settle(b);
     if (testing_range_step_hook) testing_range_step_hook(0);
     if (help_s != nullptr) {
       if (b->type != NodeType::kRange ||
@@ -783,10 +747,7 @@ const typename C::Node* BasicLfcaTree<C>::all_in_range(
       if (!try_replace(b, n)) {
         delete n;  // catslint: direct-delete(never published; CAS lost)
         count_obs(TreeCounter::kRangeCasFails);
-        CATS_OBS_ONLY({
-          ++pending_cas_fails;
-          obs::flight::note_cas_fail();
-        });
+        cas_fails.note();
         continue;  // goto find_first
       }
       stack.back() = n;  // replace_top
@@ -831,7 +792,7 @@ const typename C::Node* BasicLfcaTree<C>::all_in_range(
     while (!advanced) {
       b = find_next_base_stack(stack);
       if (b == nullptr) break;
-      CATS_OBS_ONLY(settle_heat(b));
+      cas_fails.settle(b);
       if (testing_range_step_hook) testing_range_step_hook(1);
       const typename C::Node* result =
           my_s->result.load(std::memory_order_acquire);
@@ -851,10 +812,7 @@ const typename C::Node* BasicLfcaTree<C>::all_in_range(
         } else {
           delete n;  // catslint: direct-delete(never published; CAS lost)
           count_obs(TreeCounter::kRangeCasFails);
-          CATS_OBS_ONLY({
-            ++pending_cas_fails;
-            obs::flight::note_cas_fail();
-          });
+          cas_fails.note();
           stack = backup;
         }
       } else {

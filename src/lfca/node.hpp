@@ -221,22 +221,13 @@ void heat_inherit(Node<C>* to, const Node<C>* from) {
 }
 #endif
 
-/// EBR deleter for LFCA nodes: the destructor releases the container
-/// reference, the result-storage reference, and (for a join_neighbor) its
-/// main-node reference.
-template <class C>
-void node_deleter(void* ptr) {
-  // catslint: direct-delete(EBR deleter; runs after the grace period)
-  delete static_cast<Node<C>*>(ptr);
-}
-
 /// Drops one `main_refs` reference of a join_main node; the last reference
 /// deletes it.  Safe to call without a grace period ONLY from contexts that
 /// no concurrent reader can race with: a neighbor's destructor (any reader
 /// that obtained the pointer through that neighbor finished before the
 /// neighbor could be freed) or quiescent teardown.  The tree-slot reference
-/// is instead dropped by `join_main_unlink_deleter` through EBR retire, so
-/// direct in-guard holders of the unlinked node get their grace period.
+/// is instead dropped by `node_deleter` through EBR retire, so direct
+/// in-guard holders of the unlinked node get their grace period.
 template <class C>
 void release_join_main(Node<C>* m) {
   const std::uint32_t prev =
@@ -249,10 +240,21 @@ void release_join_main(Node<C>* m) {
   }
 }
 
-/// EBR deleter used when a join_main node is unlinked from its tree slot.
+/// The one deleter for LFCA nodes, run by EBR after the grace period and by
+/// quiescent teardown.  The destructor releases the container reference,
+/// the result-storage reference and (for a join_neighbor) its main-node
+/// reference.  A join_main node only loses its tree-slot reference here:
+/// a join_neighbor that is still allocated may hold another, in which case
+/// that neighbor's destructor frees it later.
 template <class C>
-void join_main_unlink_deleter(void* ptr) {
-  release_join_main<C>(static_cast<Node<C>*>(ptr));
+void node_deleter(void* ptr) {
+  auto* n = static_cast<Node<C>*>(ptr);
+  if (n->type == NodeType::kJoinMain) {
+    release_join_main<C>(n);
+  } else {
+    // catslint: direct-delete(EBR deleter or quiescent teardown)
+    delete n;
+  }
 }
 
 }  // namespace cats::lfca::detail

@@ -153,6 +153,60 @@ TEST(SimScenario, JoinVsInsertLookup) {
   EXPECT_GT(r.schedules_explored, 1u);
 }
 
+// Join helpers vs reclamation.  The joiner's force_join unlinks b, the
+// neighbor, neigh1 and parent, and detaches so its retirements become
+// orphans.  The helper's insert lands on the join_neighbor, so it enters
+// complete_join and reads neigh1 and parent through m's plain fields.  The
+// drainer calls drain() the way EbrAdvanceRetire does: once while the join
+// runs, which lets the helper's guard start one epoch after the joiner's
+// unlinks, and once after joining the joiner, which frees its orphans.  The
+// helper holds an outer guard until the drainer is done, standing in for a
+// helper preempted inside its operation.  If complete_join retired before
+// publishing DONE, the second drain frees neigh1 with no happens-before
+// edge from the helper's read of it: one preemption (the joiner just
+// before DONE -> the drainer) reaches that in a CATS_OBS=OFF build.  With
+// CATS_OBS=ON the joiner's adaptation-trace walk (depth_of) acquire-loads
+// the helper's retry CAS after DONE, which orders the free after the read
+// in every one-preemption schedule, so CI also runs this suite in an
+// OBS-off build.  JoinVsInsertLookup cannot catch the bug at all: EBR only
+// tries to advance on every 64th retirement per thread
+// (Domain::kDrainThreshold), so nothing is freed mid-execution there.
+TEST(SimScenario, JoinHelperVsDrain) {
+  sim::Result r = run_reported("JoinHelperVsDrain", dfs_options(4000), [] {
+    Domain domain;
+    {
+      LfcaTree tree(domain);
+      for (Key k = 0; k < 12; ++k) tree.insert(k, k);
+      tree.force_split(6);
+      cats::sim_thread joiner([&] {
+        tree.force_join(3);
+        domain.detach_current_thread();
+      });
+      cats::sim_thread drainer([&] {
+        domain.drain();
+        joiner.join();
+        domain.drain();
+        domain.detach_current_thread();
+      });
+      cats::sim_thread helper([&] {
+        {
+          Domain::Guard guard(domain);
+          tree.insert(9, 90);
+          drainer.join();
+        }
+        domain.detach_current_thread();
+      });
+      helper.join();
+      for (Key k = 0; k < 12; ++k) {
+        sim::check(tree.lookup(k), "key lost across join");
+      }
+      sim::check(tree.check_integrity(), "route/container invariants");
+    }
+  });
+  EXPECT_FALSE(r.failed) << r.failure_message << "\n" << r.failure_trace;
+  EXPECT_GT(r.schedules_explored, 1u);
+}
+
 // EBR: a reader inside a guard overlaps retire + drain.  The epoch
 // machinery must order the eventual free after the reader's last access
 // in every schedule (quarantined frees are checked against the reader's

@@ -18,9 +18,10 @@ The analysis front end is a dependency-free lexical engine
 (token_engine.py), so results match on every machine with Python 3.
 
 Usage:
-  catslint.py [--src PATH ...] [--jobs N]
-              [--baseline tools/catslint/baseline.json]
-              [--disable R2,R4] [--update-baseline] [--json OUT]
+  catslint.py [--src PATH ...] [--jobs N] [--disable R2,R4] [--json OUT]
+
+Exits 1 on any finding: there is no baseline of accepted findings; fix the
+code or annotate the site with a reasoned `// catslint:` directive.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-import baseline as baseline_mod  # noqa: E402
 import rules as rules_mod  # noqa: E402
 import token_engine  # noqa: E402
 
@@ -84,14 +84,8 @@ def main(argv=None) -> int:
                     help="file or directory to analyze (repeatable); "
                          "default: <repo>/src")
     ap.add_argument("--config", default=os.path.join(HERE, "config.json"))
-    ap.add_argument("--baseline",
-                    default=os.path.join(HERE, "baseline.json"))
-    ap.add_argument("--no-baseline", action="store_true",
-                    help="ignore the baseline file (report everything)")
     ap.add_argument("--disable", default="",
                     help="comma-separated rules to disable, e.g. R2,R4")
-    ap.add_argument("--update-baseline", action="store_true",
-                    help="rewrite the baseline from current findings")
     ap.add_argument("--json", default="",
                     help="write a JSON report to this path")
     ap.add_argument("--dump-atomics", default="",
@@ -101,7 +95,6 @@ def main(argv=None) -> int:
     ap.add_argument("--jobs", "-j", type=int, default=1,
                     help="worker processes (0 = one per CPU; output "
                          "order is stable)")
-    ap.add_argument("--verbose", "-v", action="store_true")
     args = ap.parse_args(argv)
     t0 = time.monotonic()
 
@@ -130,27 +123,14 @@ def main(argv=None) -> int:
 
     findings = rules_mod.run_all(models, cfg, enabled)
 
-    if args.update_baseline:
-        baseline_mod.save(args.baseline, findings)
-        print(f"catslint: wrote {len(findings)} finding(s) to "
-              f"{os.path.relpath(args.baseline, REPO)}")
-        return 0
-
-    base = {} if args.no_baseline else baseline_mod.load(args.baseline)
-    new, old = baseline_mod.split(findings, base)
-
-    for f in new:
+    for f in findings:
         print(f.render())
-    if args.verbose and old:
-        for f in old:
-            print(f"(baselined) {f.render()}")
 
     if args.json:
         report = {
             "files_analyzed": len(models),
             "rules": sorted(enabled),
-            "new": [vars(f) for f in new],
-            "baselined": [vars(f) for f in old],
+            "findings": [vars(f) for f in findings],
         }
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
@@ -158,12 +138,11 @@ def main(argv=None) -> int:
 
     elapsed = time.monotonic() - t0
     summary = (f"catslint: {len(models)} file(s), "
-               f"{len(new)} new finding(s), {len(old)} baselined "
-               f"({elapsed:.2f}s"
+               f"{len(findings)} finding(s) ({elapsed:.2f}s"
                + (f", {args.jobs or os.cpu_count()} jobs)"
                   if args.jobs != 1 else ")"))
     print(summary, file=sys.stderr)
-    return 1 if new else 0
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

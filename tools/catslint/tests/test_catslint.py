@@ -9,11 +9,9 @@ corrected twin of each fixture must pass clean.
 Runs under pytest or plain `python3 test_catslint.py` (unittest).
 """
 
-import json
 import os
 import subprocess
 import sys
-import tempfile
 import unittest
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -22,7 +20,7 @@ FIXTURES = os.path.join(HERE, "fixtures")
 
 
 def run_lint(*args):
-    cmd = [sys.executable, TOOL, "--no-baseline", *args]
+    cmd = [sys.executable, TOOL, *args]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
     return proc
 
@@ -146,30 +144,9 @@ class RuleLiveness(unittest.TestCase):
         self.assert_clean("r0_pass.cpp")
 
 
-class Baseline(unittest.TestCase):
-    def test_update_baseline_then_gate_passes(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            base = os.path.join(tmp, "baseline.json")
-            fix = os.path.join(FIXTURES, "r1_fire.cpp")
-            up = subprocess.run(
-                [sys.executable, TOOL, "--src", fix,
-                 "--baseline", base, "--update-baseline"],
-                capture_output=True, text=True, timeout=300)
-            self.assertEqual(up.returncode, 0, up.stderr)
-            with open(base, encoding="utf-8") as f:
-                data = json.load(f)
-            self.assertGreaterEqual(len(data["findings"]), 2)
-            gated = subprocess.run(
-                [sys.executable, TOOL, "--src", fix, "--baseline", base],
-                capture_output=True, text=True, timeout=300)
-            self.assertEqual(gated.returncode, 0,
-                             f"baselined findings must not fail the "
-                             f"gate:\n{gated.stdout}\n{gated.stderr}")
-
-
 class RepoGate(unittest.TestCase):
     def test_src_tree_is_clean_under_all_rules(self):
-        """The acceptance gate: src/ has zero unbaselined findings."""
+        """The acceptance gate: src/ has zero findings."""
         proc = run_lint()
         self.assertEqual(proc.returncode, 0,
                          f"src/ must lint clean:\n{proc.stdout}\n"
