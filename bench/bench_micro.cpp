@@ -6,21 +6,11 @@
 // immutable-container design.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdio>
-#include <cstring>
-#include <iostream>
-#include <string>
-#include <thread>
-#include <vector>
+#include <cstdint>
 
 #include "common/rng.hpp"
-#include "harness/runner.hpp"
-#include "harness/workload.hpp"
 #include "imtr/imtr_set.hpp"
 #include "lfca/lfca_tree.hpp"
-#include "obs/export.hpp"
-#include "obs/registry.hpp"
 #include "reclaim/ebr.hpp"
 #include "skiplist/skiplist.hpp"
 #include "treap/treap.hpp"
@@ -155,109 +145,6 @@ BENCHMARK(BM_StructureInsertRemove<imtr::ImTreeSet>)->Name("BM_Update/imtr");
 BENCHMARK(BM_StructureInsertRemove<skiplist::SkipList>)
     ->Name("BM_Update/skiplist");
 
-// ---------------------------------------------------------------------------
-// Metrics demo.  After the microbenchmarks, run a short contended mix
-// against an LFCA tree with sensitive adaptation thresholds and export
-// everything the observability layer collected — counters, latency
-// histograms, topology and the adaptation-event trace — through the
-// harness's monitored-run mode (harness::MonitoredRun): the final snapshot
-// lands in bench_micro_metrics.json, the sampler's rate time-series in
-// bench_micro_series.csv, and with --monitor-port=P the same data is
-// served live at /metrics, /stats.json, /topology.json and /healthz while
-// the mix is running.
-// ---------------------------------------------------------------------------
-void run_metrics_demo(const harness::Options& opt, double duration) {
-#if CATS_OBS_ENABLED
-  // Quiescent here — the worker threads haven't started yet.
-  obs::Registry::instance().reset();
-
-  lfca::Config config;
-  config.high_cont = 0;  // adapt on every contention event (1-CPU hosts
-  config.low_cont = -100;  // rarely see clustered CAS failures)
-  reclaim::Domain domain;
-  {
-    lfca::LfcaTree tree(domain, config);
-    harness::prefill(tree, 1 << 14);
-    // Declared after the tree: the monitor samples through the tree and
-    // must stop before it is destroyed.
-    harness::MonitoredRun monitored(opt, harness::tree_stats_source(tree),
-                                    harness::tree_topology_source(tree));
-    const harness::Mix mix = harness::Mix::of_percent(80, 10, 10, 256);
-    harness::run_mix(tree, 4, mix, 1 << 14, duration);
-    // The mix above splits under real contention; add a deterministic round
-    // of forced adaptations so the exported data always shows both
-    // directions, even on a single-core host where the contended phase
-    // barely splits.  Hold each phase for a few sampler intervals so the
-    // time-series records the plateau: the base-node column rises to ~9
-    // and falls back regardless of hardware.
-    const auto hold = std::chrono::milliseconds(
-        opt.monitor_interval_ms > 0 ? 3 * opt.monitor_interval_ms : 0);
-    for (Key k = 0; k < 8; ++k) tree.force_split(k * 2048);
-    std::this_thread::sleep_for(hold);
-    for (Key k = 0; k < 8; ++k) tree.force_join(k * 2048);
-    std::this_thread::sleep_for(hold);
-
-    obs::Snapshot snap = obs::global_snapshot();
-    tree.stats().append_to(snap, "lfca_");
-    std::printf("\n--- observability snapshot ---\n");
-    obs::write_table(std::cout, snap);
-    monitored.finish();  // stops endpoint + sampler, writes the files
-  }
-  domain.drain();
-#else
-  (void)opt;
-  (void)duration;
-  std::printf("\n(CATS_OBS=OFF: metrics export compiled out)\n");
-#endif
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  // google-benchmark takes the --benchmark_* flags; the rest are
-  // --demo-duration and the harness flags of the metrics demo.
-  cats::harness::Options opt;
-  opt.monitor_interval_ms = 50;
-  opt.metrics_out = "bench_micro_metrics.json";
-  opt.series_out = "bench_micro_series.csv";
-  double demo_duration = 0.3;
-  std::vector<char*> ours = {argv[0]};
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.starts_with("--benchmark_")) {
-      argv[kept++] = argv[i];
-    } else if (arg.starts_with("--demo-duration=")) {
-      const char* v = argv[i] + std::strlen("--demo-duration=");
-      if (!cats::harness::detail::parse_double(v, &demo_duration) ||
-          demo_duration < 0) {
-        std::fprintf(stderr, "--demo-duration: expected SEC >= 0, got '%s'\n",
-                     v);
-        return 2;
-      }
-    } else {
-      ours.push_back(argv[i]);
-    }
-  }
-  argc = kept;
-  std::string error;
-  bool help = false;
-  if (!cats::harness::Options::parse_into(static_cast<int>(ours.size()),
-                                          ours.data(), opt, error, &help)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 2;
-  }
-  if (help) {
-    std::printf("usage: bench_micro [--benchmark_*] [--demo-duration=SEC] "
-                "[options]\n%s\n",
-                cats::harness::Options::usage());
-    return 0;
-  }
-
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  run_metrics_demo(opt, demo_duration);
-  return 0;
-}
+BENCHMARK_MAIN();

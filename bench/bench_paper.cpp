@@ -579,11 +579,8 @@ int main(int argc, char** argv) {
     }
   }
   harness::MonitoredRun monitored(
-      opt,
-      fig11_tree ? harness::tree_stats_source(*fig11_tree)
-                 : harness::global_stats_source(),
-      fig11_tree ? harness::tree_topology_source(*fig11_tree)
-                 : harness::MonitoredRun::TopologySource());
+      opt, fig11_tree ? harness::tree_stats_source(*fig11_tree)
+                      : harness::global_stats_source());
   for (const Scenario* s : chosen) s->run(opt, fig11_tree.get());
   return 0;
 }

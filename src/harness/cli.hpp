@@ -80,10 +80,7 @@ struct Options {
   /// "str" (StrKey instantiations via harness::StrKeyCodec).  Scenarios
   /// without a string-keyed roster reject "str".
   std::string key_type = "int";
-  /// LFCA heuristic overrides (paper defaults when untouched).  On hosts
-  /// with few hardware threads, genuine CAS contention is rare and the
-  /// paper's +/-1000 thresholds barely trigger; --sensitive drops them so
-  /// the adaptation *direction* is still demonstrable (see EXPERIMENTS.md).
+  /// LFCA heuristic overrides (paper defaults when untouched).
   int high_cont = 1000;
   int low_cont = -1000;
   int cont_contrib = 250;
@@ -199,9 +196,6 @@ struct Options {
         if (!detail::parse_int(v, &opt.cont_contrib)) {
           return expected("an integer", v);
         }
-      } else if (arg == "--sensitive") {
-        opt.high_cont = 0;
-        opt.low_cont = -100;
       } else if (const char* v = value("--monitor-interval-ms=")) {
         if (!detail::parse_int(v, &opt.monitor_interval_ms) ||
             opt.monitor_interval_ms < 0) {
@@ -253,7 +247,7 @@ struct Options {
   /// One-line summary of every flag parse_into() accepts, for --help.
   static const char* usage() {
     return "options: --duration=SEC --runs=N --size=S --threads=a,b,c "
-           "--csv --only=NAME --key-type=int|str --paper --sensitive "
+           "--csv --only=NAME --key-type=int|str --paper "
            "--high-cont=X --low-cont=X --cont-contrib=X "
            "--monitor-interval-ms=MS --monitor-port=P --metrics-out=FILE "
            "--series-out=FILE --check-every-n-ops=N --trace-out=FILE "

@@ -50,9 +50,8 @@
 
 namespace cats::harness {
 
-/// The LFCA heuristic constants selected by --high-cont, --low-cont,
-/// --cont-contrib and --sensitive; every other constant keeps the paper's
-/// value.
+/// The LFCA heuristic constants selected by --high-cont, --low-cont and
+/// --cont-contrib; every other constant keeps the paper's value.
 inline lfca::Config lfca_config(const Options& opt) {
   lfca::Config config;
   config.high_cont = opt.high_cont;
@@ -124,7 +123,6 @@ RunResult run_mix(S& structure, const std::vector<ThreadGroup>& groups,
 
   std::vector<detail::ThreadCounters> counters(total_threads);
   std::vector<int> group_of(total_threads);
-  std::vector<obs::flight::PerfCounts> thread_perf(total_threads);
   std::vector<std::thread> threads;
   SpinBarrier barrier(total_threads + 1);
   std::atomic<bool> stop{false};
@@ -142,7 +140,8 @@ RunResult run_mix(S& structure, const std::vector<ThreadGroup>& groups,
         const std::uint64_t check_period =
             g_check_every_n_ops.load(std::memory_order_relaxed);
         // Per-thread hardware counters over the measure phase (opened on
-        // the worker thread itself; perf_event_open counts the caller).
+        // the worker thread itself; perf_event_open counts the caller),
+        // folded into the "measure" phase total when the thread stops.
         obs::flight::ThreadPerf perf;
         barrier.arrive_and_wait();
         perf.start();
@@ -206,7 +205,7 @@ RunResult run_mix(S& structure, const std::vector<ThreadGroup>& groups,
             }
           }
         }
-        thread_perf[thread_index] = perf.stop();
+        obs::flight::perf_phase_add("measure", perf.stop());
       });
     }
   }
@@ -232,9 +231,7 @@ RunResult run_mix(S& structure, const std::vector<ThreadGroup>& groups,
     result.range_queries += counters[t].range_queries;
     result.range_items += counters[t].range_items;
     result.per_thread_ops.push_back(counters[t].ops);
-    result.perf += thread_perf[t];
   }
-  obs::flight::perf_phase_add("measure", result.perf);
   return result;
 }
 
@@ -253,11 +250,13 @@ RunResult run_mix(S& structure, int threads, const Mix& mix, Key key_range,
 // recorder at --trace-sample-shift (its spans fill the latency histograms),
 // an obs::Monitor sampling rates at --monitor-interval-ms, and an
 // obs::HttpServer on --monitor-port serving /metrics, /stats.json,
-// /topology.json, /trace.json and /healthz.  finish() (or the destructor)
-// stops them and writes --metrics-out, --series-out and --trace-out — the
-// single code path both bench binaries use for metrics dumping.
+// /trace.json and /healthz.  finish() (or the destructor) stops them and
+// writes --metrics-out, --series-out and --trace-out.  The stats source is
+// the one view of the run: /metrics, /stats.json, --metrics-out and every
+// series row are the same obs::Snapshot (for a tree, tree_stats_source:
+// counters, lfca_* tree counters and lfca_topo_* topology).
 //
-// Lifetime: the sources capture the structure, so a MonitoredRun must be
+// Lifetime: the source captures the structure, so a MonitoredRun must be
 // declared after (destroyed before) the structure and its domain.
 // ---------------------------------------------------------------------------
 
@@ -266,10 +265,8 @@ RunResult run_mix(S& structure, int threads, const Mix& mix, Key key_range,
 class MonitoredRun {
  public:
   using StatsSource = obs::Monitor::StatsSource;
-  using TopologySource = obs::Monitor::TopologySource;
 
-  MonitoredRun(const Options& opt, StatsSource stats,
-               TopologySource topology = {})
+  MonitoredRun(const Options& opt, StatsSource stats)
       : stats_(std::move(stats)), metrics_path_(opt.metrics_out),
         series_path_(opt.series_out), trace_path_(opt.trace_out) {
     // The flight recorder samples ops for the whole run: its spans feed
@@ -279,10 +276,6 @@ class MonitoredRun {
     if (opt.monitor_interval_ms > 0) {
       obs::Monitor::Config config;
       config.interval = std::chrono::milliseconds(opt.monitor_interval_ms);
-      // The stats source already carries the topology as gauges
-      // (tree_stats_source), so the monitor gets no separate topology
-      // source — one tree walk per sample, no duplicate CSV columns.  The
-      // topology source only feeds the /topology.json route.
       monitor_ = std::make_unique<obs::Monitor>(config, stats_);
       monitor_->start();
     }
@@ -296,12 +289,6 @@ class MonitoredRun {
             });
       serve("/stats.json", "application/json",
             [src = stats_](std::ostream& os) { obs::write_json(os, src()); });
-      if (topology) {
-        serve("/topology.json", "application/json",
-              [src = topology](std::ostream& os) {
-                obs::write_topology_json(os, src());
-              });
-      }
       serve("/trace.json", "application/json",
             [](std::ostream& os) { obs::flight::write_chrome_trace(os); });
       if (server_->start()) {
@@ -383,9 +370,9 @@ class MonitoredRun {
   bool finished_ = false;
 };
 
-/// Sources for an LFCA-style tree (anything with stats() and
+/// Source for an LFCA-style tree (anything with stats() and
 /// collect_topology()): the global registry snapshot plus the tree's own
-/// counters, and the EBR-guarded topology walk.
+/// counters and its EBR-guarded topology walk.
 template <class Tree>
 MonitoredRun::StatsSource tree_stats_source(Tree& tree,
                                             std::string prefix = "lfca_") {
@@ -402,11 +389,6 @@ inline MonitoredRun::StatsSource global_stats_source() {
   return [] { return obs::global_snapshot(); };
 }
 
-template <class Tree>
-MonitoredRun::TopologySource tree_topology_source(Tree& tree) {
-  return [&tree] { return tree.collect_topology(); };
-}
-
 #else  // !CATS_OBS_ENABLED
 
 /// CATS_OBS=OFF stub: same shape, no thread, no socket, no output.  The
@@ -414,9 +396,8 @@ MonitoredRun::TopologySource tree_topology_source(Tree& tree) {
 class MonitoredRun {
  public:
   using StatsSource = int;
-  using TopologySource = int;
 
-  MonitoredRun(const Options& opt, StatsSource = 0, TopologySource = 0) {
+  MonitoredRun(const Options& opt, StatsSource = 0) {
     if (opt.monitor_interval_ms > 0 || opt.monitor_port >= 0 ||
         !opt.metrics_out.empty() || !opt.series_out.empty() ||
         !opt.trace_out.empty()) {
@@ -432,10 +413,6 @@ inline MonitoredRun::StatsSource global_stats_source() { return 0; }
 template <class Tree>
 MonitoredRun::StatsSource tree_stats_source(Tree&,
                                             const std::string& = "lfca_") {
-  return 0;
-}
-template <class Tree>
-MonitoredRun::TopologySource tree_topology_source(Tree&) {
   return 0;
 }
 

@@ -15,7 +15,6 @@
 
 #include "common/strkey.hpp"
 #include "common/types.hpp"
-#include "obs/flight/perf_counters.hpp"
 
 namespace cats::harness {
 
@@ -105,10 +104,6 @@ struct RunResult {
   /// starved thread (ops_min far below ops_max) invalidates a throughput
   /// comparison even when the total looks fine.
   std::vector<std::uint64_t> per_thread_ops;
-  /// Hardware counters summed over the worker threads of the measure
-  /// phase.  `perf.available` is false (with a reason) when the counters
-  /// could not be opened or are compiled out — never fails the run.
-  obs::flight::PerfCounts perf;
 
   double throughput_mops() const {
     return seconds > 0 ? static_cast<double>(total_ops) / seconds / 1e6 : 0;

@@ -179,9 +179,6 @@ class BasicLfcaTree {
 
   void retire(Node* n);
   void count_range_query(std::size_t bases_traversed) const;
-  /// Route depth of the base node currently covering `key` (for the
-  /// adaptation trace; racy walk, adaptation events only).
-  std::uint32_t depth_of(Key key) const;
 
   /// Paper counters: always maintained (Tables 1-2 and the adaptation
   /// tests read them through stats()).

@@ -422,8 +422,9 @@ bool BasicLfcaTree<C>::high_contention_adaptation(Node* b) {
   if (try_replace(b, r)) {
     count(TreeCounter::kSplits);
     CATS_OBS_ONLY({
-      obs::record(obs::GHistogram::kSplitLeafItems, C::size(b->data));
-      obs::trace_adapt(obs::AdaptKind::kSplit, depth_of(split_key), stat);
+      const std::size_t items = C::size(b_data);
+      obs::record(obs::GHistogram::kSplitLeafItems, items);
+      obs::trace_adapt(obs::AdaptKind::kSplit, items, stat);
     });
     return true;
   }
@@ -432,8 +433,7 @@ bool BasicLfcaTree<C>::high_contention_adaptation(Node* b) {
   delete r;   // catslint: direct-delete(never published; split CAS lost)
   count_obs(TreeCounter::kSplitFailedCas);
   CATS_OBS_ONLY(
-      obs::trace_adapt(obs::AdaptKind::kSplitFailed, depth_of(split_key),
-                       stat));
+      obs::trace_adapt(obs::AdaptKind::kSplitFailed, C::size(b_data), stat));
   return false;
 }
 
@@ -444,7 +444,6 @@ bool BasicLfcaTree<C>::low_contention_adaptation(Node* b) {
   if (parent == nullptr) return false;
   count_obs(TreeCounter::kJoinAttempts);
   [[maybe_unused]] const int stat = b->stat.load(std::memory_order_relaxed);
-  [[maybe_unused]] const Key probe = cats::sim_plain_read(parent->key);
   Node* m = nullptr;
   if (parent->left.load(std::memory_order_acquire) == b) {
     m = secure_join(b, /*left_child=*/true);
@@ -454,13 +453,15 @@ bool BasicLfcaTree<C>::low_contention_adaptation(Node* b) {
   if (m != nullptr) {
     complete_join(m);
     count(TreeCounter::kJoins);
-    CATS_OBS_ONLY(
-        obs::trace_adapt(obs::AdaptKind::kJoin, depth_of(probe), stat));
+    CATS_OBS_ONLY(obs::trace_adapt(obs::AdaptKind::kJoin,
+                                   C::size(cats::sim_plain_read(b->data)),
+                                   stat));
     return true;
   }
   count(TreeCounter::kAbortedJoins);
-  CATS_OBS_ONLY(
-      obs::trace_adapt(obs::AdaptKind::kJoinAborted, depth_of(probe), stat));
+  CATS_OBS_ONLY(obs::trace_adapt(obs::AdaptKind::kJoinAborted,
+                                 C::size(cats::sim_plain_read(b->data)),
+                                 stat));
   return false;
 }
 
@@ -1030,18 +1031,6 @@ obs::TopologySnapshot BasicLfcaTree<C>::collect_topology() const {
   detail::topology_walk<C>(root_.load(std::memory_order_acquire), 0,
                            KeyTraits<Key>::min(), out);
   return out;
-}
-
-template <class C>
-std::uint32_t BasicLfcaTree<C>::depth_of(Key key) const {
-  std::uint32_t depth = 0;
-  Node* n = root_.load(std::memory_order_acquire);
-  while (n->type == NodeType::kRoute) {
-    ++depth;
-    n = (Compare{}(key, n->key) ? n->left : n->right)
-            .load(std::memory_order_acquire);
-  }
-  return depth;
 }
 
 template <class C>

@@ -1,6 +1,5 @@
 #include "obs/export.hpp"
 
-#include <cinttypes>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
@@ -66,74 +65,13 @@ Snapshot global_snapshot() {
 }
 
 // ---------------------------------------------------------------------------
-// Table.
-// ---------------------------------------------------------------------------
-
-void write_table(std::ostream& os, const Snapshot& snap) {
-  os << "-- counters --\n";
-  for (const auto& [name, value] : snap.counters) {
-    char line[128];
-    std::snprintf(line, sizeof line, "%-28s %20" PRIu64 "\n", name.c_str(),
-                  value);
-    os << line;
-  }
-  if (!snap.gauges.empty()) {
-    os << "-- gauges --\n";
-    for (const auto& [name, value] : snap.gauges) {
-      char line[128];
-      std::snprintf(line, sizeof line, "%-28s %20.3f\n", name.c_str(), value);
-      os << line;
-    }
-  }
-  os << "-- histograms --\n";
-  for (const auto& [name, h] : snap.histograms) {
-    char line[192];
-    std::snprintf(line, sizeof line,
-                  "%-28s count=%-10" PRIu64
-                  " mean=%-12.1f p50=%-12.1f p90=%-12.1f p99=%.1f\n",
-                  name.c_str(), h.count, h.mean(), h.quantile(0.5),
-                  h.quantile(0.9), h.quantile(0.99));
-    os << line;
-  }
-  if (!snap.hot_bases.empty()) {
-    os << "-- contention heatmap (hottest bases) --\n";
-    for (const Snapshot::HotBase& hot : snap.hot_bases) {
-      char line[256];
-      if (hot.key_label.empty()) {
-        std::snprintf(line, sizeof line,
-                      "  #%-2u depth=%-3u key_lo=%-12lld cas_fails=%-10" PRIu64
-                      " helps=%-8" PRIu64 " items=%" PRIu64 "\n",
-                      hot.rank, hot.depth, hot.key_lo, hot.cas_fails,
-                      hot.helps, hot.items);
-      } else {
-        std::snprintf(line, sizeof line,
-                      "  #%-2u depth=%-3u key_lo=%-12s cas_fails=%-10" PRIu64
-                      " helps=%-8" PRIu64 " items=%" PRIu64 "\n",
-                      hot.rank, hot.depth, hot.key_label.c_str(),
-                      hot.cas_fails, hot.helps, hot.items);
-      }
-      os << line;
-    }
-  }
-  os << "-- adaptation trace (" << snap.events.size() << " events) --\n";
-  // The full timeline can be thousands of lines; show the tail.
-  const std::size_t show = snap.events.size() > 20 ? 20 : snap.events.size();
-  for (std::size_t i = snap.events.size() - show; i < snap.events.size();
-       ++i) {
-    const TraceEvent& e = snap.events[i];
-    char line[160];
-    std::snprintf(line, sizeof line,
-                  "  t=%12.6fs %-12s depth=%-3u stat=%-7d thread=%u\n",
-                  static_cast<double>(e.time_ns) / 1e9,
-                  adapt_kind_name(e.kind), e.depth, e.stat, e.thread);
-    os << line;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // JSON.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Writes `s` as a quoted JSON string: quote, backslash and every control
+/// byte escaped, all other bytes verbatim.
 void json_escape(std::ostream& os, const std::string& s) {
   os << '"';
   for (const char c : s) {
@@ -157,6 +95,7 @@ void json_escape(std::ostream& os, const std::string& s) {
   os << '"';
 }
 
+/// One histogram as a JSON object ({"count":...,"buckets":[...]}).
 void write_histogram_json(std::ostream& os, const HistogramSnapshot& h) {
   os << "{\"count\":" << h.count << ",\"sum\":" << h.sum
      << ",\"mean\":" << h.mean() << ",\"p50\":" << h.quantile(0.5)
@@ -172,6 +111,8 @@ void write_histogram_json(std::ostream& os, const HistogramSnapshot& h) {
   }
   os << "]}";
 }
+
+}  // namespace
 
 void write_json(std::ostream& os, const Snapshot& snap) {
   os << "{\"counters\":{";
@@ -206,15 +147,16 @@ void write_json(std::ostream& os, const Snapshot& snap) {
     first = false;
     os << "{\"metric\":";
     json_escape(os, hot.metric);
-    os << ",\"rank\":" << hot.rank << ",\"depth\":" << hot.depth
-       << ",\"key_lo\":" << hot.key_lo;
-    if (!hot.key_label.empty()) {
+    const BaseHeat& base = hot.base;
+    os << ",\"rank\":" << hot.rank << ",\"depth\":" << base.depth
+       << ",\"key_lo\":" << base.key_lo;
+    if (!base.key_label.empty()) {
       os << ",\"key_label\":";
-      json_escape(os, hot.key_label);
+      json_escape(os, base.key_label);
     }
-    os << ",\"cas_fails\":" << hot.cas_fails
-       << ",\"helps\":" << hot.helps << ",\"items\":" << hot.items
-       << ",\"stat\":" << hot.stat << '}';
+    os << ",\"cas_fails\":" << base.cas_fails
+       << ",\"helps\":" << base.helps << ",\"items\":" << base.items
+       << ",\"stat\":" << base.stat << '}';
   }
   os << "],\"trace\":[";
   first = true;
@@ -222,7 +164,7 @@ void write_json(std::ostream& os, const Snapshot& snap) {
     if (!first) os << ',';
     first = false;
     os << "{\"t_ns\":" << e.time_ns << ",\"kind\":\""
-       << adapt_kind_name(e.kind) << "\",\"depth\":" << e.depth
+       << adapt_kind_name(e.kind) << "\",\"items\":" << e.items
        << ",\"stat\":" << e.stat << ",\"thread\":" << e.thread << '}';
   }
   os << "]}";
@@ -284,14 +226,13 @@ void write_prometheus(std::ostream& os, const Snapshot& snap) {
   // field, the base identified by rank/depth/key_lo labels.  TYPE lines are
   // emitted once per family (entries arrive grouped by metric).
   {
-    using Field =
-        std::pair<const char*, std::uint64_t (*)(const Snapshot::HotBase&)>;
+    using Field = std::pair<const char*, std::uint64_t BaseHeat::*>;
     const Field fields[] = {
-        {"cas_fails", [](const Snapshot::HotBase& h) { return h.cas_fails; }},
-        {"helps", [](const Snapshot::HotBase& h) { return h.helps; }},
-        {"items", [](const Snapshot::HotBase& h) { return h.items; }},
+        {"cas_fails", &BaseHeat::cas_fails},
+        {"helps", &BaseHeat::helps},
+        {"items", &BaseHeat::items},
     };
-    for (const auto& [field, value_of] : fields) {
+    for (const auto& [field, member] : fields) {
       std::string last_metric;
       for (const Snapshot::HotBase& hot : snap.hot_bases) {
         const std::string n = prom_name(hot.metric) + "_" + field;
@@ -299,12 +240,13 @@ void write_prometheus(std::ostream& os, const Snapshot& snap) {
           os << "# TYPE " << n << " gauge\n";
           last_metric = hot.metric;
         }
-        os << n << "{rank=\"" << hot.rank << "\",depth=\"" << hot.depth
-           << "\",key_lo=\"" << hot.key_lo << "\"";
-        if (!hot.key_label.empty()) {
+        const BaseHeat& base = hot.base;
+        os << n << "{rank=\"" << hot.rank << "\",depth=\"" << base.depth
+           << "\",key_lo=\"" << base.key_lo << "\"";
+        if (!base.key_label.empty()) {
           // Prometheus label values escape backslash and double-quote.
           os << ",key=\"";
-          for (const char c : hot.key_label) {
+          for (const char c : base.key_label) {
             if (c == '\\' || c == '"') os << '\\';
             if (c == '\n') {
               os << "\\n";
@@ -314,7 +256,7 @@ void write_prometheus(std::ostream& os, const Snapshot& snap) {
           }
           os << '"';
         }
-        os << "} " << value_of(hot) << '\n';
+        os << "} " << base.*member << '\n';
       }
     }
   }

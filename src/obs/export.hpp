@@ -7,7 +7,6 @@
 // before exporting.
 //
 // Exporters:
-//   write_table      — human-readable, for terminals and test logs
 //   write_json       — machine-readable, one self-contained document; the
 //                      benchmark binaries write one per run and
 //                      obs/json.hpp parses it back
@@ -22,26 +21,21 @@
 #include <vector>
 
 #include "obs/histogram.hpp"
+#include "obs/topology.hpp"
 #include "obs/trace.hpp"
 
 namespace cats::obs {
 
 struct Snapshot {
-  /// One labeled contention-heatmap sample (topology.cpp fills these from
-  /// TopologySnapshot::hot_bases).  Kept apart from the flat gauges
+  /// One labeled contention-heatmap sample (TopologySnapshot::append_to
+  /// fills these from its hot_bases).  Kept apart from the flat gauges
   /// because the hot-base set changes between samples: the monitor's fixed
   /// CSV schema ignores them, while write_prometheus renders them as
-  /// labeled gauges and write_json/write_table as records.
+  /// labeled gauges and write_json as records.
   struct HotBase {
     std::string metric;       // e.g. "lfca_topo_hot_base"
     std::uint32_t rank = 0;   // 0 = hottest
-    std::uint32_t depth = 0;
-    long long key_lo = 0;
-    std::string key_label;    // formatted key bound; empty = unlabeled
-    std::uint64_t cas_fails = 0;
-    std::uint64_t helps = 0;
-    std::uint64_t items = 0;
-    std::int64_t stat = 0;
+    BaseHeat base;
   };
 
   std::vector<std::pair<std::string, std::uint64_t>> counters;
@@ -68,18 +62,8 @@ struct Snapshot {
 /// derived gauges (EBR backlog, live treap nodes).
 Snapshot global_snapshot();
 
-void write_table(std::ostream& os, const Snapshot& snap);
 void write_json(std::ostream& os, const Snapshot& snap);
 void write_prometheus(std::ostream& os, const Snapshot& snap);
-
-/// Writes `s` as a quoted JSON string: quote, backslash and every control
-/// byte escaped, all other bytes verbatim.  The one escaper of every JSON
-/// exporter (metrics, topology), so a key label reads the same in each.
-void json_escape(std::ostream& os, const std::string& s);
-
-/// One histogram as a JSON object ({"count":...,"buckets":[...]}); the
-/// building block of write_json, shared with the topology exporter.
-void write_histogram_json(std::ostream& os, const HistogramSnapshot& h);
 
 /// write_json straight to a file; returns false on I/O failure.
 bool write_json_file(const std::string& path, const Snapshot& snap);

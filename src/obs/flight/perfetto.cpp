@@ -39,7 +39,7 @@ void write_instant(std::ostream& os, const TraceEvent& e) {
      << "\",\"cat\":\"adapt\",\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":"
      << e.thread << ",\"ts\":";
   write_us(os, e.time_ns);
-  os << ",\"args\":{\"depth\":" << e.depth << ",\"stat\":" << e.stat << "}}";
+  os << ",\"args\":{\"items\":" << e.items << ",\"stat\":" << e.stat << "}}";
 }
 
 }  // namespace

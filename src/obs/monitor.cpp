@@ -7,9 +7,8 @@
 
 namespace cats::obs {
 
-Monitor::Monitor(Config config, StatsSource stats, TopologySource topology)
-    : config_(config), stats_(std::move(stats)),
-      topology_(std::move(topology)) {
+Monitor::Monitor(Config config, StatsSource stats)
+    : config_(config), stats_(std::move(stats)) {
   start_time_ = std::chrono::steady_clock::now();
 }
 
@@ -56,12 +55,9 @@ void Monitor::run() {
 }
 
 void Monitor::sample_now() {
-  // Sources run outside the sample mutex: a topology walk can take a while
-  // on a big tree and must not block concurrent series() readers.
-  Snapshot snap = stats_();
-  TopologySnapshot topo;
-  const bool have_topo = static_cast<bool>(topology_);
-  if (have_topo) topo = topology_();
+  // The source runs outside the sample mutex: a topology walk can take a
+  // while on a big tree and must not block concurrent series() readers.
+  const Snapshot snap = stats_();
   const auto now = std::chrono::steady_clock::now();
 
   std::lock_guard<std::mutex> lock(mutex_);
@@ -76,14 +72,6 @@ void Monitor::sample_now() {
     for (const auto& [name, value] : snap.gauges) {
       (void)value;
       gauge_names_.push_back(name);
-    }
-    if (have_topo) {
-      for (const char* name :
-           {"topo_route_nodes", "topo_base_nodes", "topo_joining_bases",
-            "topo_range_bases", "topo_items", "topo_max_depth",
-            "topo_mean_occupancy"}) {
-        gauge_names_.push_back(name);
-      }
     }
   }
 
@@ -109,15 +97,6 @@ void Monitor::sample_now() {
   }
   for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
     s.gauges.push_back(snap.gauges[i].second);
-  }
-  if (have_topo) {
-    s.gauges.push_back(static_cast<double>(topo.route_nodes));
-    s.gauges.push_back(static_cast<double>(topo.base_nodes));
-    s.gauges.push_back(static_cast<double>(topo.joining_bases));
-    s.gauges.push_back(static_cast<double>(topo.range_bases));
-    s.gauges.push_back(static_cast<double>(topo.items));
-    s.gauges.push_back(static_cast<double>(topo.max_depth));
-    s.gauges.push_back(topo.mean_occupancy());
   }
 
   last_counters_ = s.counters;
@@ -167,44 +146,6 @@ void Monitor::write_csv(std::ostream& os) const {
     }
     os << '\n';
   }
-}
-
-void Monitor::write_json(std::ostream& os) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  os << "{\"interval_ms\":" << config_.interval.count() << ",\"counters\":[";
-  for (std::size_t i = 0; i < counter_names_.size(); ++i) {
-    if (i > 0) os << ',';
-    os << '"' << counter_names_[i] << '"';  // names are plain snake_case
-  }
-  os << "],\"gauges\":[";
-  for (std::size_t i = 0; i < gauge_names_.size(); ++i) {
-    if (i > 0) os << ',';
-    os << '"' << gauge_names_[i] << '"';
-  }
-  os << "],\"samples\":[";
-  bool first = true;
-  for (const Sample& s : samples_) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"t_s\":" << s.t_s << ",\"interval_s\":" << s.interval_s
-       << ",\"cumulative\":[";
-    for (std::size_t i = 0; i < s.counters.size(); ++i) {
-      if (i > 0) os << ',';
-      os << s.counters[i];
-    }
-    os << "],\"per_sec\":[";
-    for (std::size_t i = 0; i < s.rates.size(); ++i) {
-      if (i > 0) os << ',';
-      os << s.rates[i];
-    }
-    os << "],\"gauges\":[";
-    for (std::size_t i = 0; i < s.gauges.size(); ++i) {
-      if (i > 0) os << ',';
-      os << s.gauges[i];
-    }
-    os << "]}";
-  }
-  os << "]}";
 }
 
 bool Monitor::write_csv_file(const std::string& path) const {

@@ -146,9 +146,11 @@ inline void count(GCounter c, std::uint64_t n = 1) {
 inline void record(GHistogram h, std::uint64_t v) {
   Registry::instance().record(h, v);
 }
-inline void trace_adapt(AdaptKind kind, std::uint32_t depth,
+/// `items` is the adapted base's container size (truncated to 32 bits).
+inline void trace_adapt(AdaptKind kind, std::size_t items,
                         std::int32_t stat) {
-  Registry::instance().trace().record(kind, depth, stat);
+  Registry::instance().trace().record(kind, static_cast<std::uint32_t>(items),
+                                      stat);
 }
 
 }  // namespace cats::obs

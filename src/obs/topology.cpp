@@ -1,7 +1,6 @@
 #include "obs/topology.hpp"
 
 #include <algorithm>
-#include <ostream>
 
 #include "obs/export.hpp"
 
@@ -46,56 +45,12 @@ void TopologySnapshot::append_to(Snapshot& snap,
   // The hot-base list travels as labeled samples, not gauges: the set of
   // hot bases changes between samples, and the monitor's CSV schema is
   // fixed by the first sample — only the exporters that can label render
-  // these (write_prometheus, write_json, write_table).
+  // these (write_prometheus, write_json).
   for (std::size_t rank = 0; rank < hot_bases.size(); ++rank) {
-    const BaseHeat& base = hot_bases[rank];
-    Snapshot::HotBase hot;
-    hot.metric = prefix + "hot_base";
-    hot.rank = static_cast<std::uint32_t>(rank);
-    hot.depth = base.depth;
-    hot.key_lo = base.key_lo;
-    hot.key_label = base.key_label;
-    hot.cas_fails = base.cas_fails;
-    hot.helps = base.helps;
-    hot.items = base.items;
-    hot.stat = base.stat;
-    snap.hot_bases.push_back(std::move(hot));
+    snap.hot_bases.push_back({prefix + "hot_base",
+                              static_cast<std::uint32_t>(rank),
+                              hot_bases[rank]});
   }
-}
-
-void write_topology_json(std::ostream& os, const TopologySnapshot& topo) {
-  os << "{\"route_nodes\":" << topo.route_nodes
-     << ",\"base_nodes\":" << topo.base_nodes
-     << ",\"normal_bases\":" << topo.normal_bases
-     << ",\"joining_bases\":" << topo.joining_bases
-     << ",\"range_bases\":" << topo.range_bases
-     << ",\"invalid_routes\":" << topo.invalid_routes
-     << ",\"marked_routes\":" << topo.marked_routes
-     << ",\"items\":" << topo.items << ",\"max_depth\":" << topo.max_depth
-     << ",\"mean_occupancy\":" << topo.mean_occupancy()
-     << ",\"stat_min\":" << topo.stat_min
-     << ",\"stat_max\":" << topo.stat_max
-     << ",\"heat_cas_fails\":" << topo.heat_cas_fails
-     << ",\"heat_helps\":" << topo.heat_helps << ",\"depth\":";
-  write_histogram_json(os, topo.depth);
-  os << ",\"occupancy\":";
-  write_histogram_json(os, topo.occupancy);
-  os << ",\"stat_abs\":";
-  write_histogram_json(os, topo.stat_abs);
-  os << ",\"heatmap\":[";
-  bool first = true;
-  for (const BaseHeat& base : topo.hot_bases) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"depth\":" << base.depth << ",\"key_lo\":" << base.key_lo;
-    if (!base.key_label.empty()) {
-      os << ",\"key_label\":";
-      json_escape(os, base.key_label);
-    }
-    os << ",\"cas_fails\":" << base.cas_fails << ",\"helps\":" << base.helps
-       << ",\"items\":" << base.items << ",\"stat\":" << base.stat << '}';
-  }
-  os << "]}";
 }
 
 }  // namespace cats::obs

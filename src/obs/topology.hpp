@@ -12,9 +12,8 @@
 // `TopologySnapshot` is a plain value struct, deliberately free of any
 // dependency on the tree: the walker lives with the tree
 // (BasicLfcaTree::collect_topology, lfca/lfca_tree_impl.hpp) and fills one
-// of these in; the exporters here turn it into gauges/histograms on an obs
-// Snapshot or into a self-contained JSON document (the /topology.json
-// endpoint).
+// of these in, and append_to turns it into gauges, histograms and hot-base
+// records on an obs Snapshot, the one form every exporter reads.
 //
 // Consistency contract: the walk runs inside one EBR guard, so every node
 // it touches stays allocated, but the tree keeps adapting underneath it.
@@ -26,7 +25,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -94,15 +92,10 @@ struct TopologySnapshot {
                                  static_cast<double>(base_nodes);
   }
 
-  /// Appends everything as `prefix`-named gauges and histograms, so a
-  /// topology travels through the existing table/JSON/Prometheus exporters
-  /// alongside the counters.
+  /// Appends everything as `prefix`-named gauges, histograms and hot-base
+  /// records, so a topology travels through the JSON/Prometheus exporters
+  /// and the monitor's series alongside the counters.
   void append_to(Snapshot& snap, const std::string& prefix) const;
 };
-
-/// Self-contained JSON document ({"route_nodes":...,"depth":{...},...}) —
-/// the payload of the /topology.json endpoint.  Parse it back with
-/// obs/json.hpp.
-void write_topology_json(std::ostream& os, const TopologySnapshot& topo);
 
 }  // namespace cats::obs

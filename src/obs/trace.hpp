@@ -6,7 +6,8 @@
 // This module records every adaptation decision (split, join, abort) into a
 // fixed-size per-shard ring buffer (ring.hpp):
 //
-//   {monotonic timestamp, event kind, route depth, triggering stat, thread}
+//   {monotonic timestamp, event kind, base item count, triggering stat,
+//    thread}
 //
 // `dump()` merges all rings into one timeline sorted by timestamp; under
 // concurrent recording the timeline is approximate (entries being
@@ -31,8 +32,8 @@ enum class AdaptKind : std::uint8_t {
   kJoinAborted,   // secure_join failed or was killed by another thread
   kEpochAdvance,  // EBR global epoch incremented (src/reclaim/ebr.cpp);
                   // rides in this trace so reclamation progress appears on
-                  // the same timeline as the adaptations (depth is 0, stat
-                  // carries the new epoch)
+                  // the same timeline as the adaptations (items is 0,
+                  // stat carries the new epoch)
 };
 
 inline const char* adapt_kind_name(AdaptKind k) {
@@ -49,7 +50,7 @@ inline const char* adapt_kind_name(AdaptKind k) {
 struct TraceEvent {
   std::uint64_t time_ns = 0;  // monotonic, process-relative
   AdaptKind kind = AdaptKind::kSplit;
-  std::uint32_t depth = 0;    // route depth of the adapted base node
+  std::uint32_t items = 0;    // item count of the adapted base node
   std::int32_t stat = 0;      // statistics value that triggered the decision
   std::uint32_t thread = 0;   // recorder's shard index
 };
@@ -68,8 +69,8 @@ class AdaptTrace {
             .count());
   }
 
-  void record(AdaptKind kind, std::uint32_t depth, std::int32_t stat) {
-    ring_.push({now_ns(), kind, depth, stat});
+  void record(AdaptKind kind, std::uint32_t items, std::int32_t stat) {
+    ring_.push({now_ns(), kind, items, stat});
   }
 
   /// Merged timeline of every ring, sorted by timestamp.

@@ -220,7 +220,7 @@ bool Domain::try_advance() {
   CATS_OBS_ONLY({
     if (advanced) {
       obs::count(obs::GCounter::kEbrAdvances);
-      // Instant event on the merged timeline (depth unused; stat carries
+      // Instant event on the merged timeline (items unused; stat carries
       // the new epoch, truncated — fine for a visual marker).
       obs::trace_adapt(obs::AdaptKind::kEpochAdvance, 0,
                        static_cast<std::int32_t>(e + 1));

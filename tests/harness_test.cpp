@@ -336,19 +336,17 @@ TEST(Cli, PresetsStillApply) {
   EXPECT_EQ(paper.opt.size, 1'000'000);
   EXPECT_DOUBLE_EQ(paper.opt.duration, 10.0);
   EXPECT_EQ(paper.opt.runs, 3);
-  const ParseResult sens = parse_args({"--sensitive"});
-  ASSERT_TRUE(sens.ok) << sens.error;
-  EXPECT_EQ(sens.opt.high_cont, 0);
-  EXPECT_EQ(sens.opt.low_cont, -100);
 }
 
 // The heuristic flags reach the tree a benchmark builds, not just Options.
-TEST(Cli, SensitiveReachesTheBuiltTree) {
-  const ParseResult sens = parse_args({"--sensitive"});
-  ASSERT_TRUE(sens.ok) << sens.error;
-  const auto tree = make_structure<lfca::LfcaTree>(lfca_config(sens.opt));
+TEST(Cli, HeuristicFlagsReachTheBuiltTree) {
+  const ParseResult r =
+      parse_args({"--high-cont=0", "--low-cont=-100", "--cont-contrib=7"});
+  ASSERT_TRUE(r.ok) << r.error;
+  const auto tree = make_structure<lfca::LfcaTree>(lfca_config(r.opt));
   EXPECT_EQ(tree->config().high_cont, 0);
   EXPECT_EQ(tree->config().low_cont, -100);
+  EXPECT_EQ(tree->config().cont_contrib, 7);
 }
 
 }  // namespace

@@ -22,12 +22,12 @@
 #include <thread>
 
 #include "harness/runner.hpp"
+#include "lfca/lfca_tree.hpp"
 #include "obs/export.hpp"
 #include "obs/flight/flight.hpp"
 #include "obs/http_server.hpp"
 #include "obs/json.hpp"
 #include "obs/monitor.hpp"
-#include "obs/topology.hpp"
 
 namespace {
 
@@ -105,36 +105,7 @@ TEST(Monitor, RingStaysBounded) {
   EXPECT_EQ(monitor.series().back().counters[0], ops.load());
 }
 
-TEST(Monitor, TopologySourceAddsGaugeColumns) {
-  std::atomic<std::uint64_t> ops{0};
-  obs::Monitor::Config config;
-  obs::Monitor monitor(config, counting_source(ops), [] {
-    obs::TopologySnapshot topo;
-    topo.route_nodes = 3;
-    topo.base_nodes = 4;
-    topo.items = 100;
-    return topo;
-  });
-  monitor.sample_now();
-
-  const auto gauges = monitor.gauge_names();
-  auto index_of = [&](const std::string& name) {
-    for (std::size_t i = 0; i < gauges.size(); ++i) {
-      if (gauges[i] == name) return static_cast<std::ptrdiff_t>(i);
-    }
-    return static_cast<std::ptrdiff_t>(-1);
-  };
-  const auto base_col = index_of("topo_base_nodes");
-  const auto items_col = index_of("topo_items");
-  ASSERT_GE(base_col, 0);
-  ASSERT_GE(items_col, 0);
-  const auto series = monitor.series();
-  ASSERT_EQ(series.size(), 1u);
-  EXPECT_DOUBLE_EQ(series[0].gauges[base_col], 4.0);
-  EXPECT_DOUBLE_EQ(series[0].gauges[items_col], 100.0);
-}
-
-TEST(Monitor, CsvAndJsonDumps) {
+TEST(Monitor, CsvDump) {
   std::atomic<std::uint64_t> ops{0};
   obs::Monitor::Config config;
   obs::Monitor monitor(config, counting_source(ops));
@@ -151,11 +122,6 @@ TEST(Monitor, CsvAndJsonDumps) {
   std::size_t lines = 0;
   for (char c : text) lines += c == '\n';
   EXPECT_EQ(lines, 1u + monitor.sample_count());
-
-  std::ostringstream json;
-  monitor.write_json(json);
-  EXPECT_NE(json.str().find("\"counters\":[\"ops\"]"), std::string::npos);
-  EXPECT_NE(json.str().find("\"samples\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -288,6 +254,47 @@ TEST(Monitor, MonitoredRunServesAndWritesTrace) {
   }
   EXPECT_EQ(op_spans, 5u);
   std::remove(trace_path);
+}
+
+// The one observed-run path: a MonitoredRun over a real tree serves, dumps
+// and samples the same tree_stats_source snapshot, so the topology reaches
+// /stats.json (gauges and hot_bases), /metrics and the series CSV.
+TEST(Monitor, MonitoredRunExportsTreeTopologyEverywhere) {
+  const char* series_path = "monitor_test_series.csv";
+  harness::Options opt;
+  opt.monitor_interval_ms = 10;
+  opt.monitor_port = 0;
+  opt.series_out = series_path;
+  reclaim::Domain domain;
+  {
+    lfca::LfcaTree tree(domain);
+    for (Key k = 0; k < 256; ++k) tree.insert(k, k);
+    ASSERT_TRUE(tree.force_split(128));
+    harness::MonitoredRun run(opt, harness::tree_stats_source(tree));
+    ASSERT_GT(run.port(), 0);
+
+    const std::string stats = http_get(run.port(), "/stats.json");
+    const std::size_t body = stats.find("\r\n\r\n");
+    ASSERT_NE(body, std::string::npos);
+    const obs::json::Value doc = obs::json::parse(stats.substr(body + 4));
+    EXPECT_GE(doc.at("gauges").at("lfca_topo_base_nodes").as_number(), 2.0);
+    EXPECT_NO_THROW(doc.at("hot_bases").as_array());
+
+    EXPECT_NE(http_get(run.port(), "/metrics")
+                  .find("\ncats_lfca_topo_route_nodes "),
+              std::string::npos);
+    run.finish();
+  }
+  domain.drain();
+
+  std::ifstream in(series_path);
+  ASSERT_TRUE(in) << "finish() did not write " << series_path;
+  std::string header;
+  std::getline(in, header);
+  EXPECT_NE(("," + header + ",").find(",lfca_topo_base_nodes,"),
+            std::string::npos)
+      << header;
+  std::remove(series_path);
 }
 
 TEST(HttpServer, SurvivesManySequentialRequests) {

@@ -187,7 +187,7 @@ TEST(ObsTrace, RecordsAndDumpsInOrder) {
   const auto events = trace.dump();
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0].kind, obs::AdaptKind::kSplit);
-  EXPECT_EQ(events[0].depth, 2u);
+  EXPECT_EQ(events[0].items, 2u);
   EXPECT_EQ(events[0].stat, 1001);
   EXPECT_EQ(events[1].kind, obs::AdaptKind::kJoin);
   EXPECT_EQ(events[2].kind, obs::AdaptKind::kJoinAborted);
@@ -238,7 +238,7 @@ TEST(ObsTrace, ConcurrentRecordAndDump) {
   for (int round = 0; round < 50; ++round) {
     for (const auto& e : trace.dump()) {
       EXPECT_EQ(e.kind, obs::AdaptKind::kJoin);
-      EXPECT_EQ(e.depth, 1u);
+      EXPECT_EQ(e.items, 1u);
       EXPECT_GE(e.stat, 0);
     }
   }
@@ -276,8 +276,8 @@ TEST(ObsRing, SharedShardWritersLoseNothing) {
     EXPECT_LE(events.size(), obs::kShards * obs::AdaptTrace::kRingSize);
     for (const auto& e : events) {
       // Every field of an entry comes from the same record() call.
-      ASSERT_LT(e.depth, static_cast<std::uint32_t>(kThreads));
-      const auto t = static_cast<std::int32_t>(e.depth);
+      ASSERT_LT(e.items, static_cast<std::uint32_t>(kThreads));
+      const auto t = static_cast<std::int32_t>(e.items);
       ASSERT_EQ(e.kind,
                 t % 2 == 0 ? obs::AdaptKind::kSplit : obs::AdaptKind::kJoin);
       ASSERT_GE(e.stat, t * kEvents);
@@ -305,7 +305,7 @@ obs::Snapshot make_test_snapshot() {
   obs::TraceEvent e;
   e.time_ns = 123;
   e.kind = obs::AdaptKind::kJoin;
-  e.depth = 3;
+  e.items = 3;
   e.stat = -5;
   e.thread = 1;
   snap.events.push_back(e);
@@ -339,7 +339,7 @@ TEST(ObsExport, JsonRoundTrip) {
   ASSERT_EQ(trace.size(), 1u);
   EXPECT_EQ(trace[0].at("t_ns").as_uint(), 123u);
   EXPECT_EQ(trace[0].at("kind").as_string(), "join");
-  EXPECT_EQ(trace[0].at("depth").as_uint(), 3u);
+  EXPECT_EQ(trace[0].at("items").as_uint(), 3u);
   EXPECT_DOUBLE_EQ(trace[0].at("stat").as_number(), -5.0);
 }
 
@@ -352,13 +352,8 @@ TEST(ObsExport, JsonParserRejectsMalformedInput) {
   EXPECT_THROW(obs::json::parse("\"unterminated"), std::runtime_error);
 }
 
-TEST(ObsExport, TableAndPrometheusContainMetrics) {
+TEST(ObsExport, PrometheusContainsMetrics) {
   const obs::Snapshot snap = make_test_snapshot();
-
-  std::ostringstream table;
-  obs::write_table(table, snap);
-  EXPECT_NE(table.str().find("alpha"), std::string::npos);
-  EXPECT_NE(table.str().find("join"), std::string::npos);
 
   std::ostringstream prom;
   obs::write_prometheus(prom, snap);
@@ -471,6 +466,31 @@ TEST(ObsIntegration, ForcedAdaptationsReachGlobalTrace) {
   EXPECT_TRUE(saw_join);
   EXPECT_GT(snap.counter("ebr_retired"), 0u);
   EXPECT_GT(snap.counter("treap_node_allocs"), 0u);
+}
+
+// An adaptation event carries the adapted base's item count: the split
+// event the pre-split size, the join event the joining base's share.
+TEST(ObsIntegration, ForcedSplitTraceCarriesPreSplitSize) {
+  obs::Registry::instance().reset();
+  reclaim::Domain domain;
+  {
+    lfca::LfcaTree tree(domain);
+    for (Key k = 1; k <= 256; ++k) tree.insert(k, k);
+    ASSERT_TRUE(tree.force_split(128));
+    ASSERT_TRUE(tree.force_join(1));
+  }
+  domain.drain();
+
+  std::vector<obs::TraceEvent> splits, joins;
+  for (const auto& e : obs::global_snapshot().events) {
+    if (e.kind == obs::AdaptKind::kSplit) splits.push_back(e);
+    if (e.kind == obs::AdaptKind::kJoin) joins.push_back(e);
+  }
+  ASSERT_EQ(splits.size(), 1u);
+  EXPECT_EQ(splits[0].items, 256u);
+  ASSERT_EQ(joins.size(), 1u);
+  EXPECT_GT(joins[0].items, 0u);
+  EXPECT_LT(joins[0].items, 256u);
 }
 #endif  // CATS_OBS_ENABLED
 
@@ -625,7 +645,7 @@ TEST(Flight, ChromeTraceJsonSchema) {
   std::vector<obs::TraceEvent> instants(1);
   instants[0].time_ns = 1500;
   instants[0].kind = obs::AdaptKind::kSplit;
-  instants[0].depth = 2;
+  instants[0].items = 2;
   instants[0].stat = 5;
   instants[0].thread = 1;
 
@@ -666,7 +686,7 @@ TEST(Flight, ChromeTraceJsonSchema) {
       EXPECT_EQ(ev.at("name").as_string(), "split");
       EXPECT_EQ(ev.at("s").as_string(), "g");
       EXPECT_DOUBLE_EQ(ev.at("ts").as_number(), 1.5);
-      EXPECT_EQ(ev.at("args").at("depth").as_uint(), 2u);
+      EXPECT_EQ(ev.at("args").at("items").as_uint(), 2u);
       EXPECT_EQ(ev.at("args").at("stat").as_uint(), 5u);
     }
   }
@@ -778,15 +798,13 @@ TEST(Flight, PerfPhaseTotalsRoundTrip) {
 TEST(ObsExport, PrometheusHotBaseLabeledGauges) {
   obs::Snapshot snap;
   for (std::uint32_t rank = 0; rank < 2; ++rank) {
-    obs::Snapshot::HotBase hot;
-    hot.metric = "lfca_topo_hot_base";
-    hot.rank = rank;
-    hot.depth = rank + 1;
-    hot.key_lo = 128 * rank;
-    hot.cas_fails = 50 - rank;
-    hot.helps = 5;
-    hot.items = 100;
-    snap.hot_bases.push_back(hot);
+    obs::BaseHeat base;
+    base.depth = rank + 1;
+    base.key_lo = 128 * rank;
+    base.cas_fails = 50 - rank;
+    base.helps = 5;
+    base.items = 100;
+    snap.hot_bases.push_back({"lfca_topo_hot_base", rank, base});
   }
   std::ostringstream os;
   obs::write_prometheus(os, snap);

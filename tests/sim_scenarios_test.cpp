@@ -164,13 +164,14 @@ TEST(SimScenario, JoinVsInsertLookup) {
 // helper preempted inside its operation.  If complete_join retired before
 // publishing DONE, the second drain frees neigh1 with no happens-before
 // edge from the helper's read of it: one preemption (the joiner just
-// before DONE -> the drainer) reaches that in a CATS_OBS=OFF build.  With
-// CATS_OBS=ON the joiner's adaptation-trace walk (depth_of) acquire-loads
-// the helper's retry CAS after DONE, which orders the free after the read
-// in every one-preemption schedule, so CI also runs this suite in an
-// OBS-off build.  JoinVsInsertLookup cannot catch the bug at all: EBR only
-// tries to advance on every 64th retirement per thread
-// (Domain::kDrainThreshold), so nothing is freed mid-execution there.
+// before DONE -> the drainer) reaches that in either CATS_OBS build.  The
+// joiner's adaptation-trace hook reads only its own base's item count; a
+// hook that acquire-loaded the tree (a route-depth walk from the root did)
+// would synchronize with the helper's retry CAS and hide the race in every
+// one-preemption schedule, so CI also runs this suite in an OBS-off build.
+// JoinVsInsertLookup cannot catch the bug at all: EBR only tries to
+// advance on every 64th retirement per thread (Domain::kDrainThreshold),
+// so nothing is freed mid-execution there.
 TEST(SimScenario, JoinHelperVsDrain) {
   sim::Result r = run_reported("JoinHelperVsDrain", dfs_options(4000), [] {
     Domain domain;

@@ -23,6 +23,13 @@ namespace {
 
 using namespace cats;
 
+// A snapshot through the one JSON writer, parsed back.
+obs::json::Value json_of(const obs::Snapshot& snap) {
+  std::ostringstream os;
+  obs::write_json(os, snap);
+  return obs::json::parse(os.str());
+}
+
 // Invariants that hold for ANY snapshot, quiescent or racing: they follow
 // from the walk itself, not from the tree holding still.
 void check_internal_consistency(const obs::TopologySnapshot& topo) {
@@ -114,13 +121,14 @@ TEST(Topology, ExportsThroughSnapshotAndJson) {
     EXPECT_TRUE(saw_base_nodes);
     EXPECT_TRUE(saw_mean);
 
-    std::ostringstream os;
-    obs::write_topology_json(os, topo);
-    const obs::json::Value doc = obs::json::parse(os.str());
-    EXPECT_EQ(doc.at("base_nodes").as_uint(), topo.base_nodes);
-    EXPECT_EQ(doc.at("route_nodes").as_uint(), topo.route_nodes);
-    EXPECT_EQ(doc.at("items").as_uint(), 256u);
-    EXPECT_EQ(doc.at("occupancy").at("count").as_uint(), topo.base_nodes);
+    const obs::json::Value doc = json_of(snap);
+    const obs::json::Value& gauges = doc.at("gauges");
+    EXPECT_EQ(gauges.at("topo_base_nodes").as_uint(), topo.base_nodes);
+    EXPECT_EQ(gauges.at("topo_route_nodes").as_uint(), topo.route_nodes);
+    EXPECT_EQ(gauges.at("topo_items").as_uint(), 256u);
+    EXPECT_EQ(doc.at("histograms").at("topo_base_occupancy").at("count")
+                  .as_uint(),
+              topo.base_nodes);
   }
   domain.drain();
 }
@@ -164,40 +172,31 @@ TEST(Topology, HeatmapExportsThroughJson) {
   hot.stat = -1;
   topo.add_base_heat(hot);
 
-  std::ostringstream os;
-  obs::write_topology_json(os, topo);
-  const obs::json::Value doc = obs::json::parse(os.str());
-  EXPECT_EQ(doc.at("heat_cas_fails").as_uint(), 7u);
-  EXPECT_EQ(doc.at("heat_helps").as_uint(), 2u);
-  const auto& heatmap = doc.at("heatmap").as_array();
+  // Totals travel as gauges, hot bases as labeled records.
+  obs::Snapshot snap;
+  topo.append_to(snap, "topo_");
+  ASSERT_EQ(snap.hot_bases.size(), 1u);
+  EXPECT_EQ(snap.hot_bases[0].metric, "topo_hot_base");
+  EXPECT_EQ(snap.hot_bases[0].rank, 0u);
+  EXPECT_EQ(snap.hot_bases[0].base.cas_fails, 7u);
+
+  const obs::json::Value doc = json_of(snap);
+  EXPECT_EQ(doc.at("gauges").at("topo_heat_cas_fails").as_uint(), 7u);
+  EXPECT_EQ(doc.at("gauges").at("topo_heat_helps").as_uint(), 2u);
+  const auto& heatmap = doc.at("hot_bases").as_array();
   ASSERT_EQ(heatmap.size(), 1u);
+  EXPECT_EQ(heatmap[0].at("metric").as_string(), "topo_hot_base");
+  EXPECT_EQ(heatmap[0].at("rank").as_uint(), 0u);
   EXPECT_EQ(heatmap[0].at("depth").as_uint(), 3u);
   EXPECT_EQ(heatmap[0].at("key_lo").as_uint(), 512u);
   EXPECT_EQ(heatmap[0].at("cas_fails").as_uint(), 7u);
   EXPECT_EQ(heatmap[0].at("helps").as_uint(), 2u);
   EXPECT_EQ(heatmap[0].at("items").as_uint(), 40u);
-
-  // And through the Snapshot path: totals as gauges, hot bases as labeled
-  // samples.
-  obs::Snapshot snap;
-  topo.append_to(snap, "topo_");
-  bool saw_total = false;
-  for (const auto& [name, value] : snap.gauges) {
-    if (name == "topo_heat_cas_fails") {
-      saw_total = true;
-      EXPECT_DOUBLE_EQ(value, 7.0);
-    }
-  }
-  EXPECT_TRUE(saw_total);
-  ASSERT_EQ(snap.hot_bases.size(), 1u);
-  EXPECT_EQ(snap.hot_bases[0].metric, "topo_hot_base");
-  EXPECT_EQ(snap.hot_bases[0].rank, 0u);
-  EXPECT_EQ(snap.hot_bases[0].cas_fails, 7u);
+  EXPECT_DOUBLE_EQ(heatmap[0].at("stat").as_number(), -1.0);
 }
 
 // String keys format to their raw bytes, so a key label may hold control
-// bytes; the topology JSON must carry them through unchanged, exactly as
-// the metrics JSON does.
+// bytes; the metrics JSON must carry them through unchanged.
 TEST(Topology, KeyLabelControlBytesRoundTripThroughJson) {
   const std::string label = std::string("a\x01\"b\\c\n") + '\x1f';
   obs::TopologySnapshot topo;
@@ -206,10 +205,10 @@ TEST(Topology, KeyLabelControlBytesRoundTripThroughJson) {
   hot.key_label = label;
   topo.add_base_heat(hot);
 
-  std::ostringstream os;
-  obs::write_topology_json(os, topo);
-  const obs::json::Value doc = obs::json::parse(os.str());
-  const auto& heatmap = doc.at("heatmap").as_array();
+  obs::Snapshot snap;
+  topo.append_to(snap, "topo_");
+  const obs::json::Value doc = json_of(snap);
+  const auto& heatmap = doc.at("hot_bases").as_array();
   ASSERT_EQ(heatmap.size(), 1u);
   EXPECT_EQ(heatmap[0].at("key_label").as_string(), label);
 }
