@@ -401,6 +401,14 @@ bool Runtime::on_quarantine_free(int tid, void* ptr, std::size_t size,
   t.vc.c[tid]++;
   std::uintptr_t lo = reinterpret_cast<std::uintptr_t>(ptr);
   std::uintptr_t hi = lo + size;
+  if (auto dup = freed_.find(lo); dup != freed_.end()) {
+    // The block is already quarantined: queueing it again would make
+    // finish_execution release it twice.
+    fail(tid, "double free by T" + std::to_string(tid) +
+                  " of a block already freed by T" +
+                  std::to_string(dup->second.tid));
+    return true;
+  }
   Site fsite{"<free>", 0, nullptr};
   check_freed(tid, lo, hi, fsite, "free");
   // A free behaves like a write to the whole block: it must be ordered after

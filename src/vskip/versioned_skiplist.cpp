@@ -12,12 +12,28 @@ namespace cats::vskip {
 /// record; it is atomic only so that pruning can detach dead suffixes.
 struct VersionedSkipList::Record {
   /// 0 = pending (not yet ordered); assigned once, by writer or helper.
-  std::atomic<std::uint64_t> version{0};
+  cats::atomic<std::uint64_t> version{0};
   const Value value;
   const bool deleted;
-  std::atomic<Record*> next;
+  cats::atomic<Record*> next;
 
   Record(Value v, bool d, Record* n) : value(v), deleted(d), next(n) {}
+
+  // Under CATS_SIM the simulator tracks each record and quarantines its
+  // free until the end of the execution, so a second free of the same
+  // record is reported instead of corrupting the heap.
+  static void* operator new(std::size_t size) {
+    void* p = ::operator new(size);
+    cats::sim_note_alloc(p, size);
+    return p;
+  }
+  static void operator delete(void* p, std::size_t size) {
+    if (cats::sim_quarantine_free(
+            p, size, [](void* q, std::size_t) { ::operator delete(q); })) {
+      return;
+    }
+    ::operator delete(p);
+  }
 };
 
 /// Per-key index node.  Never physically removed: logical removal is a
@@ -32,8 +48,8 @@ struct VersionedSkipList::Node {
   const Key key;
   const std::int8_t rank;
   const int top_level;
-  std::atomic<Record*> records{nullptr};
-  std::atomic<Node*> next[kMaxLevel + 1];
+  cats::atomic<Record*> records{nullptr};
+  cats::atomic<Node*> next[kMaxLevel + 1];
 
   Node(Key k, Rank r, int levels) : key(k), rank(r), top_level(levels) {
     for (auto& n : next) n.store(nullptr, std::memory_order_relaxed);
@@ -45,6 +61,17 @@ namespace {
 int random_level() {
   thread_local Xoshiro256 rng(
       mix64(reinterpret_cast<std::uintptr_t>(&rng) ^ 0x9e3779b9u));
+#if CATS_SIM_ENABLED
+  // Tower heights decide how many index loads an operation makes, so under
+  // exploration they must be a pure function of the schedule: re-seed from
+  // the simulated thread id whenever a new execution begins.
+  thread_local std::uint64_t seeded_generation = 0;
+  if (cats::sim_thread_active() &&
+      seeded_generation != cats::sim_execution_generation()) {
+    seeded_generation = cats::sim_execution_generation();
+    rng = Xoshiro256(cats::sim_deterministic_seed());
+  }
+#endif
   const std::uint64_t word = rng.next();
   int level = 0;
   while (level < VersionedSkipList::kMaxLevel && ((word >> level) & 1) != 0) {

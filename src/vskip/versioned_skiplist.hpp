@@ -21,10 +21,10 @@
 // can need.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
+#include "common/catomic.hpp"
 #include "common/function_ref.hpp"
 #include "common/padded.hpp"
 #include "common/types.hpp"
@@ -76,8 +76,8 @@ class VersionedSkipList {
   void prune(Node* node, std::uint64_t min_needed);
 
   reclaim::Domain& domain_;
-  alignas(kCacheLine) mutable std::atomic<std::uint64_t> version_{1};
-  mutable Padded<std::atomic<std::uint64_t>> scan_slots_[kScanSlots];
+  alignas(kCacheLine) mutable cats::atomic<std::uint64_t> version_{1};
+  mutable Padded<cats::atomic<std::uint64_t>> scan_slots_[kScanSlots];
   Node* head_;
   Node* tail_;
 };
