@@ -219,6 +219,13 @@ std::uint64_t VersionedSkipList::min_active_scan() const {
 
 // Detaches and retires every record strictly older than the newest record
 // with version <= min_needed: no active or future scan can select them.
+//
+// Pruners that read different min_active_scan() values cut the chain at
+// different records, so their suffixes can overlap.  Every link is
+// therefore taken exactly once, by the detach CAS or by the exchange in
+// the retire walk, and a record is retired by whoever took the link to it:
+// a walk that finds a link already taken stops, and so does a pruner whose
+// detach CAS finds its cut already taken.
 void VersionedSkipList::prune(Node* node, std::uint64_t min_needed) {
   Record* rec = node->records.load(std::memory_order_acquire);
   while (rec != nullptr) {
@@ -229,14 +236,14 @@ void VersionedSkipList::prune(Node* node, std::uint64_t min_needed) {
   if (rec == nullptr) return;
   Record* suffix = rec->next.load(std::memory_order_acquire);
   if (suffix == nullptr) return;
-  if (rec->next.compare_exchange_strong(suffix, nullptr,
-                                        std::memory_order_acq_rel)) {
-    // We won the detach: retire the whole suffix.
-    while (suffix != nullptr) {
-      Record* older = suffix->next.load(std::memory_order_relaxed);
-      domain_.retire(suffix, &record_deleter);
-      suffix = older;
-    }
+  if (!rec->next.compare_exchange_strong(suffix, nullptr,
+                                         std::memory_order_acq_rel)) {
+    return;  // a link only ever changes to null: another pruner owns it
+  }
+  while (suffix != nullptr) {
+    Record* older = suffix->next.exchange(nullptr, std::memory_order_acq_rel);
+    domain_.retire(suffix, &record_deleter);
+    suffix = older;
   }
 }
 
@@ -250,9 +257,9 @@ bool VersionedSkipList::write(Key key, Value value, bool deleted) {
   } while (!node->records.compare_exchange_weak(head, rec,
                                                 std::memory_order_acq_rel));
   finalize(rec);
-  // Logical state before this write = the previous newest record.
-  Record* prev = rec->next.load(std::memory_order_acquire);
-  const bool was_present = prev != nullptr && !prev->deleted;
+  // Logical state before this write = the record the CAS displaced.  Not
+  // rec->next: once rec is finalized a concurrent pruner may cut there.
+  const bool was_present = head != nullptr && !head->deleted;
 
   // Opportunistic chain maintenance.
   int length = 0;

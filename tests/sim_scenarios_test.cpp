@@ -8,7 +8,8 @@
 //
 // Two kinds of test live here:
 //   * real-protocol scenarios (split help, range-query helping, join vs
-//     readers, EBR advance/retire) that must explore CLEAN to the bound —
+//     readers, EBR advance/retire, KiWi version-chain pruning) that must
+//     explore CLEAN to the bound —
 //     the race detector, quarantine checker and linearizability oracle
 //     all armed;
 //   * planted-bug twins (weakened publish order, skipped help step, early
@@ -24,6 +25,7 @@
 #include "reclaim/ebr.hpp"
 #include "sim/sim.hpp"
 #include "sim_support.hpp"
+#include "vskip/versioned_skiplist.hpp"
 
 namespace cats::lfca {
 namespace {
@@ -252,6 +254,40 @@ TEST(SimScenario, EbrAdvanceRetire) {
     reader.join();
     domain.drain();
   });
+  EXPECT_FALSE(r.failed) << r.failure_message << "\n" << r.failure_trace;
+  EXPECT_GT(r.schedules_explored, 1u);
+}
+
+// KiWi baseline: two writers prune one hot key's version chain while a scan
+// holds an announced version.  The first pruner reads the announced version
+// and picks an older cut than the second, which reads the advanced one; the
+// second detaches a suffix that contains the first's.  Every superseded
+// record must still be retired exactly once: a duplicate retire shows as a
+// double free of the quarantined record when the domain is torn down.  An
+// overwrite must also see the key present even when a pruner cuts the
+// chain right below the overwrite's own record.
+TEST(SimScenario, VskipHotKeyPruneRetiresOnce) {
+  sim::Result r =
+      run_reported("VskipHotKeyPruneRetiresOnce", dfs_options(4000, 2), [] {
+        Domain domain;
+        {
+          vskip::VersionedSkipList map(domain);
+          for (Value i = 0; i < 3; ++i) map.insert(1, i);  // 3-record chain
+          cats::sim_thread w1([&] {
+            sim::check(!map.insert(1, 10), "overwrite saw the key absent");
+            domain.detach_current_thread();
+          });
+          cats::sim_thread w2([&] {
+            sim::check(!map.insert(1, 20), "overwrite saw the key absent");
+            domain.detach_current_thread();
+          });
+          std::size_t n = 0;
+          map.range_query(1, 1, [&](Key, Value) { ++n; });
+          sim::check(n == 1, "scan lost the hot key");
+          w2.join();
+          w1.join();
+        }
+      });
   EXPECT_FALSE(r.failed) << r.failure_message << "\n" << r.failure_trace;
   EXPECT_GT(r.schedules_explored, 1u);
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <thread>
 #include <vector>
@@ -181,6 +182,45 @@ TEST(VskipPruning, HotKeyChainsStayBounded) {
   Value v = 0;
   ASSERT_TRUE(map.lookup(7, &v));
   EXPECT_EQ(v, 49'999u);
+}
+
+// Three writers on two hot keys plus a scanner, for about two seconds.
+// Pruners that read different min_active_scan() values detach overlapping
+// chain suffixes; each superseded record must still be retired exactly once
+// (a CATS_CHECKED build aborts on a double retire, other builds may corrupt
+// the heap), and an overwrite must always see its key present.
+TEST(VskipPruning, HotKeyPrunersRetireEachRecordOnce) {
+  reclaim::Domain domain;
+  {
+    VersionedSkipList map(domain);
+    map.insert(1, 0);
+    map.insert(2, 0);
+    std::atomic<bool> stop{false};
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (int w = 0; w < 3; ++w) {
+      threads.emplace_back([&, w] {
+        for (Value i = 1; !stop.load(std::memory_order_relaxed); ++i) {
+          if (map.insert(1 + static_cast<Key>((i + w) % 2), i)) {
+            failures.fetch_add(1);
+          }
+        }
+      });
+    }
+    threads.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        std::size_t n = 0;
+        map.range_query(1, 2, [&](Key, Value) { ++n; });
+        if (n != 2) failures.fetch_add(1);
+      }
+    });
+    std::this_thread::sleep_for(std::chrono::seconds(2));
+    stop.store(true);
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(failures.load(), 0);
+  }
+  domain.drain();
+  EXPECT_EQ(domain.pending(), 0u);
 }
 
 }  // namespace
