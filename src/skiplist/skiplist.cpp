@@ -2,203 +2,39 @@
 
 #include <cstdint>
 
-#include "common/rng.hpp"
-
 namespace cats::skiplist {
 
-// A marked next pointer (LSB set) means the owning node is logically
-// deleted at that level; the pointer part still identifies the successor so
-// that helpers can splice the node out.
-//
-// The head/tail sentinels carry an out-of-band rank instead of stealing the
-// extreme key values: kHead orders before every key and kTail after every
-// key, so kKeyMin and kKeyMax are ordinary insertable keys in every build
-// type (the key-domain contract of common/types.hpp).
-struct SkipList::Node {
-  enum Rank : std::int8_t { kHead = -1, kItem = 0, kTail = 1 };
-
-  Key key;
-  std::atomic<Value> value;
-  std::int8_t rank;
-  int top_level;
-  std::atomic<std::uintptr_t> next[kMaxLevel + 1];
-
-  Node(Key k, Value v, Rank r, int levels)
-      : key(k), value(v), rank(r), top_level(levels) {
-    for (int i = 0; i <= kMaxLevel; ++i) {
-      next[i].store(0, std::memory_order_relaxed);
-    }
-  }
-};
-
-namespace {
-
-using Node = SkipList::Node;
-
-constexpr std::uintptr_t kMarkBit = 1;
-
-Node* ptr_of(std::uintptr_t word) {
-  return reinterpret_cast<Node*>(word & ~kMarkBit);
-}
-bool is_marked(std::uintptr_t word) { return (word & kMarkBit) != 0; }
-std::uintptr_t make_word(Node* node, bool marked) {
-  return reinterpret_cast<std::uintptr_t>(node) | (marked ? kMarkBit : 0);
-}
-
-/// Node position strictly before `key` (head before everything, tail after).
-bool node_before(const Node* n, Key key) {
-  return n->rank == Node::kHead || (n->rank == Node::kItem && n->key < key);
-}
-
-/// Node holds exactly `key` (sentinels hold no key at all).
-bool node_is(const Node* n, Key key) {
-  return n->rank == Node::kItem && n->key == key;
-}
-
-}  // namespace
-
-SkipList::SkipList(reclaim::Domain& domain) : domain_(domain) {
-  tail_ = new Node(Key{}, 0, Node::kTail, kMaxLevel);
-  head_ = new Node(Key{}, 0, Node::kHead, kMaxLevel);
-  for (int i = 0; i <= kMaxLevel; ++i) {
-    head_->next[i].store(make_word(tail_, false), std::memory_order_relaxed);
-  }
-}
-
-// catslint: quiescent(destructor; caller guarantees no concurrent access)
-SkipList::~SkipList() {
-  Node* cur = head_;
-  while (cur != nullptr) {
-    Node* next = ptr_of(cur->next[0].load(std::memory_order_relaxed));
-    delete cur;  // catslint: direct-delete(quiescent teardown)
-    cur = next;
-  }
-}
-
-int SkipList::random_level() {
-  thread_local Xoshiro256 rng(
-      mix64(reinterpret_cast<std::uintptr_t>(&rng) ^ 0x5bd1e995u));
-  // Geometric with p = 1/2: count trailing ones of a random word.
-  const std::uint64_t word = rng.next();
-  int level = 0;
-  while (level < kMaxLevel && ((word >> level) & 1) != 0) ++level;
-  return level;
-}
-
-// Herlihy-Shavit `find`: snips out marked nodes on the search path and
-// returns the pred/succ window per level.  Restarts when a CAS loses.
-bool SkipList::find(Key key, Node** preds, Node** succs) const {
-retry:
-  while (true) {
-    Node* pred = head_;
-    for (int level = kMaxLevel; level >= 0; --level) {
-      std::uintptr_t curr_word = pred->next[level].load(
-          std::memory_order_acquire);
-      Node* curr = ptr_of(curr_word);
-      while (true) {
-        std::uintptr_t succ_word =
-            curr->next[level].load(std::memory_order_acquire);
-        while (is_marked(succ_word)) {
-          // curr is logically deleted at this level: splice it out.
-          std::uintptr_t expected = make_word(curr, false);
-          if (!pred->next[level].compare_exchange_strong(
-                  expected, make_word(ptr_of(succ_word), false),
-                  std::memory_order_acq_rel)) {
-            goto retry;
-          }
-          curr = ptr_of(succ_word);
-          succ_word = curr->next[level].load(std::memory_order_acquire);
-        }
-        if (node_before(curr, key)) {
-          pred = curr;
-          curr = ptr_of(succ_word);
-        } else {
-          break;
-        }
-      }
-      preds[level] = pred;
-      succs[level] = curr;
-    }
-    return node_is(succs[0], key);
-  }
-}
+SkipList::SkipList(reclaim::Domain& domain) : domain_(domain) {}
 
 bool SkipList::insert(Key key, Value value) {
   reclaim::Domain::Guard guard(domain_);
-  Node* preds[kMaxLevel + 1];
-  Node* succs[kMaxLevel + 1];
-  const int top = random_level();
-  while (true) {
-    if (find(key, preds, succs)) {
-      // Present: update the value in place (linearizes at the store).
-      succs[0]->value.store(value, std::memory_order_release);
-      return false;
-    }
-    auto* node = new Node(key, value, Node::kItem, top);
-    for (int level = 0; level <= top; ++level) {
-      node->next[level].store(make_word(succs[level], false),
-                              std::memory_order_relaxed);
-    }
-    // Linearization point: linking at the bottom level.
-    std::uintptr_t expected = make_word(succs[0], false);
-    if (!preds[0]->next[0].compare_exchange_strong(
-            expected, make_word(node, false), std::memory_order_acq_rel)) {
-      delete node;  // catslint: direct-delete(never published; CAS lost)
-      continue;
-    }
-    // Link the upper levels.  A concurrent remove may mark the node at any
-    // moment; marked forward pointers stop the linking (the node is
-    // logically gone, higher links would resurrect it).
-    for (int level = 1; level <= top; ++level) {
-      while (true) {
-        std::uintptr_t node_next =
-            node->next[level].load(std::memory_order_acquire);
-        if (is_marked(node_next)) return true;  // removed concurrently
-        Node* succ = succs[level];
-        if (ptr_of(node_next) != succ) {
-          // Refresh our forward pointer to the current window first.
-          if (!node->next[level].compare_exchange_strong(
-                  node_next, make_word(succ, false),
-                  std::memory_order_acq_rel)) {
-            continue;  // raced with a marker; re-check
-          }
-        }
-        std::uintptr_t expected = make_word(succ, false);
-        if (preds[level]->next[level].compare_exchange_strong(
-                expected, make_word(node, false),
-                std::memory_order_acq_rel)) {
-          break;  // linked at this level
-        }
-        find(key, preds, succs);           // window moved: recompute
-        if (succs[0] != node) return true;  // node was removed meanwhile
-      }
-    }
-    return true;
-  }
+  const auto [node, inserted] = index_.find_or_insert(key, value);
+  // Present: update the value in place (linearizes at the store).
+  if (!inserted) node->value.store(value, std::memory_order_release);
+  return inserted;
 }
 
 bool SkipList::remove(Key key) {
   reclaim::Domain::Guard guard(domain_);
-  Node* preds[kMaxLevel + 1];
-  Node* succs[kMaxLevel + 1];
-  if (!find(key, preds, succs)) return false;
-  Node* victim = succs[0];
+  Index::Window window;
+  if (!index_.find(key, window)) return false;
+  Node* victim = window.succs[0];
   // Mark the upper levels top-down.
   for (int level = victim->top_level; level >= 1; --level) {
     std::uintptr_t word = victim->next[level].load(std::memory_order_acquire);
-    while (!is_marked(word)) {
+    while (!Index::is_marked(word)) {
       victim->next[level].compare_exchange_weak(
-          word, word | kMarkBit, std::memory_order_acq_rel);
+          word, word | Index::kMarkBit, std::memory_order_acq_rel);
     }
   }
   // Level 0 decides logical deletion.
   std::uintptr_t word = victim->next[0].load(std::memory_order_acquire);
   while (true) {
-    if (is_marked(word)) return false;  // someone else removed it
-    if (victim->next[0].compare_exchange_strong(word, word | kMarkBit,
-                                                std::memory_order_acq_rel)) {
+    if (Index::is_marked(word)) return false;  // someone else removed it
+    if (victim->next[0].compare_exchange_strong(
+            word, word | Index::kMarkBit, std::memory_order_acq_rel)) {
       // We are the logical deleter: ensure physical unlinking, then retire.
-      find(key, preds, succs);
+      index_.find(key, window);
       domain_.retire(victim);
       return true;
     }
@@ -207,52 +43,39 @@ bool SkipList::remove(Key key) {
 
 bool SkipList::lookup(Key key, Value* value_out) const {
   reclaim::Domain::Guard guard(domain_);
-  Node* pred = head_;
-  Node* curr = nullptr;
-  for (int level = kMaxLevel; level >= 0; --level) {
-    curr = ptr_of(pred->next[level].load(std::memory_order_acquire));
-    while (node_before(curr, key)) {
-      pred = curr;
-      curr = ptr_of(curr->next[level].load(std::memory_order_acquire));
-    }
+  Node* node = index_.seek(key);
+  if (!node->holds(key)) return false;
+  if (Index::is_marked(node->next[0].load(std::memory_order_acquire))) {
+    return false;
   }
-  if (!node_is(curr, key)) return false;
-  if (is_marked(curr->next[0].load(std::memory_order_acquire))) return false;
   if (value_out != nullptr) {
-    *value_out = curr->value.load(std::memory_order_acquire);
+    *value_out = node->value.load(std::memory_order_acquire);
   }
   return true;
 }
 
 void SkipList::range_query(Key lo, Key hi, ItemVisitor visit) const {
   reclaim::Domain::Guard guard(domain_);
-  Node* pred = head_;
-  for (int level = kMaxLevel; level >= 0; --level) {
-    Node* curr = ptr_of(pred->next[level].load(std::memory_order_acquire));
-    while (node_before(curr, lo)) {
-      pred = curr;
-      curr = ptr_of(curr->next[level].load(std::memory_order_acquire));
-    }
-  }
-  Node* curr = ptr_of(pred->next[0].load(std::memory_order_acquire));
   // The tail sentinel's rank terminates the walk regardless of hi.
-  while (curr->rank == Node::kItem && curr->key <= hi) {
+  Node* curr = index_.seek(lo);
+  while (curr->is_item() && curr->key <= hi) {
     const std::uintptr_t next_word =
         curr->next[0].load(std::memory_order_acquire);
-    if (!is_marked(next_word) && curr->key >= lo) {
+    if (!Index::is_marked(next_word)) {
       visit(curr->key, curr->value.load(std::memory_order_acquire));
     }
-    curr = ptr_of(next_word);
+    curr = Index::ptr_of(next_word);
   }
 }
 
 std::size_t SkipList::size() const {
   reclaim::Domain::Guard guard(domain_);
   std::size_t count = 0;
-  Node* curr = ptr_of(head_->next[0].load(std::memory_order_acquire));
-  while (curr != tail_) {
-    if (!is_marked(curr->next[0].load(std::memory_order_acquire))) ++count;
-    curr = ptr_of(curr->next[0].load(std::memory_order_acquire));
+  for (Node* curr = index_.first(); curr->is_item();) {
+    const std::uintptr_t next_word =
+        curr->next[0].load(std::memory_order_acquire);
+    if (!Index::is_marked(next_word)) ++count;
+    curr = Index::ptr_of(next_word);
   }
   return count;
 }

@@ -9,24 +9,21 @@
 // "no-snapshot overhead" upper bound for mixed workloads.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 
+#include "common/catomic.hpp"
 #include "common/function_ref.hpp"
 #include "common/types.hpp"
 #include "reclaim/ebr.hpp"
+#include "skiplist/skip_index.hpp"
 
 namespace cats::skiplist {
 
 class SkipList {
  public:
-  struct Node;  // opaque; defined in skiplist.cpp
-
-  static constexpr int kMaxLevel = 20;  // supports ~2^20 items at p = 1/2
+  static constexpr int kMaxLevel = skiplist::kMaxLevel;
 
   explicit SkipList(reclaim::Domain& domain = reclaim::Domain::global());
-  ~SkipList();
 
   SkipList(const SkipList&) = delete;
   SkipList& operator=(const SkipList&) = delete;
@@ -50,15 +47,16 @@ class SkipList {
   reclaim::Domain& domain() const { return domain_; }
 
  private:
-  /// Locates the insertion window for `key` on every level, physically
-  /// unlinking marked nodes on the way.  Returns true if an unmarked node
-  /// with `key` is present (then succs[0] is that node).
-  bool find(Key key, Node** preds, Node** succs) const;
-  static int random_level();
+  /// Per-key payload: the value, overwritten in place by insert.
+  struct Cell {
+    explicit Cell(Value v = 0) : value(v) {}
+    cats::atomic<Value> value;
+  };
+  using Index = SkipIndex<Cell>;
+  using Node = Index::Node;
 
   reclaim::Domain& domain_;
-  Node* head_;
-  Node* tail_;
+  Index index_;
 };
 
 }  // namespace cats::skiplist

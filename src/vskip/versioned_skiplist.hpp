@@ -29,15 +29,13 @@
 #include "common/padded.hpp"
 #include "common/types.hpp"
 #include "reclaim/ebr.hpp"
+#include "skiplist/skip_index.hpp"
 
 namespace cats::vskip {
 
 class VersionedSkipList {
  public:
-  struct Node;    // per-key index node (immortal)
-  struct Record;  // one version of a key's state
-
-  static constexpr int kMaxLevel = 20;
+  static constexpr int kMaxLevel = skiplist::kMaxLevel;
   static constexpr std::size_t kScanSlots = 256;
 
   explicit VersionedSkipList(
@@ -65,9 +63,17 @@ class VersionedSkipList {
   reclaim::Domain& domain() const { return domain_; }
 
  private:
+  struct Record;  // one version of a key's state
+  /// Per-key payload of the index: the newest record of the key's version
+  /// chain.  Index nodes are never removed (removal writes a tombstone
+  /// record), so the index never marks or snips.
+  struct Versions {
+    cats::atomic<Record*> records{nullptr};
+  };
+  using Index = skiplist::SkipIndex<Versions>;
+  using Node = Index::Node;
+
   bool write(Key key, Value value, bool deleted);
-  Node* find_node(Key key) const;
-  Node* get_or_insert_node(Key key);
   /// Assigns a real version to a pending record (helping rule) and returns
   /// the assigned version.
   std::uint64_t finalize(Record* record) const;
@@ -78,8 +84,7 @@ class VersionedSkipList {
   reclaim::Domain& domain_;
   alignas(kCacheLine) mutable cats::atomic<std::uint64_t> version_{1};
   mutable Padded<cats::atomic<std::uint64_t>> scan_slots_[kScanSlots];
-  Node* head_;
-  Node* tail_;
+  Index index_;
 };
 
 }  // namespace cats::vskip
