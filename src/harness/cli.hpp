@@ -1,7 +1,6 @@
-// Command-line options shared by bench_paper and the bench_micro metrics
-// demo.  Defaults are scaled down from the paper's 10-second, 10^6-key
-// runs so the whole suite finishes in CI time; pass --paper for the
-// full-scale parameters.
+// Command-line options of the bench_paper driver.  Defaults are scaled
+// down from the paper's 10-second, 10^6-key runs so the whole suite
+// finishes in CI time; pass --paper for the full-scale parameters.
 #pragma once
 
 #include <atomic>

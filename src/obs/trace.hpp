@@ -30,10 +30,6 @@ enum class AdaptKind : std::uint8_t {
   kSplitFailed,   // split lost its CAS (or the leaf was too small)
   kJoin,          // low-contention adaptation completed
   kJoinAborted,   // secure_join failed or was killed by another thread
-  kEpochAdvance,  // EBR global epoch incremented (src/reclaim/ebr.cpp);
-                  // rides in this trace so reclamation progress appears on
-                  // the same timeline as the adaptations (items is 0,
-                  // stat carries the new epoch)
 };
 
 inline const char* adapt_kind_name(AdaptKind k) {
@@ -42,7 +38,6 @@ inline const char* adapt_kind_name(AdaptKind k) {
     case AdaptKind::kSplitFailed: return "split_failed";
     case AdaptKind::kJoin: return "join";
     case AdaptKind::kJoinAborted: return "join_aborted";
-    case AdaptKind::kEpochAdvance: return "epoch_advance";
   }
   return "?";
 }

@@ -116,6 +116,11 @@ Domain::ThreadCtx* Domain::register_thread() {
     if (slots_[i]->owner.compare_exchange_strong(expected, ctx,
                                                  std::memory_order_acq_rel)) {
       ctx->slot_index = i;
+      // Adopt what exited threads left behind, so their retirements are
+      // freed by this thread's next free_eligible instead of waiting for
+      // drain() or ~Domain.
+      std::lock_guard<std::mutex> lock(orphan_mutex_);
+      ctx->retired.swap(orphans_);
       return ctx;
     }
   }
@@ -217,15 +222,7 @@ bool Domain::try_advance() {
   }
   const bool advanced = global_epoch_.compare_exchange_strong(
       e, e + 1, std::memory_order_acq_rel);
-  CATS_OBS_ONLY({
-    if (advanced) {
-      obs::count(obs::GCounter::kEbrAdvances);
-      // Instant event on the merged timeline (items unused; stat carries
-      // the new epoch, truncated — fine for a visual marker).
-      obs::trace_adapt(obs::AdaptKind::kEpochAdvance, 0,
-                       static_cast<std::int32_t>(e + 1));
-    }
-  });
+  CATS_OBS_ONLY(if (advanced) obs::count(obs::GCounter::kEbrAdvances));
   return advanced;
 }
 

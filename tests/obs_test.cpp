@@ -492,6 +492,19 @@ TEST(ObsIntegration, ForcedSplitTraceCarriesPreSplitSize) {
   EXPECT_GT(joins[0].items, 0u);
   EXPECT_LT(joins[0].items, 256u);
 }
+
+// Epoch advances are counted (ebr_advances), not traced: the adaptation
+// rings keep their capacity for splits and joins.
+TEST(ObsIntegration, EpochAdvancesStayOutOfTheAdaptationTrace) {
+  obs::Registry& reg = obs::Registry::instance();
+  reg.reset();
+  reclaim::Domain domain;
+  const std::uint64_t epoch_before = domain.epoch();
+  domain.drain();  // forces three advances
+  EXPECT_EQ(domain.epoch(), epoch_before + 3);
+  EXPECT_EQ(reg.read(obs::GCounter::kEbrAdvances), 3u);
+  EXPECT_EQ(reg.trace().recorded(), 0u);
+}
 #endif  // CATS_OBS_ENABLED
 
 // ---------------------------------------------------------------------------

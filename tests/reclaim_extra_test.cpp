@@ -1,5 +1,5 @@
 // Additional EBR tests: multi-domain usage, epoch monotonicity, orphan
-// adoption on thread exit, slot recycling and pending-count bookkeeping.
+// adoption after thread exit, slot recycling and pending-count bookkeeping.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -64,6 +64,27 @@ TEST(EbrExtra, OrphansAdoptedAfterThreadExit) {
   domain.drain();
   EXPECT_EQ(Counted::live.load(), before);
   EXPECT_EQ(domain.pending(), 0u);
+}
+
+// A process that keeps starting workers must not pile up their leftovers:
+// the next thread to register adopts an exited thread's pending
+// retirements, and its ordinary retire path frees them, with no drain().
+TEST(EbrExtra, ShortLivedThreadsKeepPendingBounded) {
+  Domain domain;
+  const int before = Counted::live.load();
+  constexpr int kThreads = 100;
+  constexpr int kPerThread = 200;  // over Domain::kDrainThreshold (64)
+  for (int t = 0; t < kThreads; ++t) {
+    std::thread([&] {
+      for (int i = 0; i < kPerThread; ++i) domain.retire(new Counted());
+    }).join();
+  }
+  // Each exit leaves the retirements of its last two epochs pending (about
+  // 70 here); without adoption they would add up to several thousand.
+  EXPECT_LT(domain.pending(), 1000u);
+  domain.drain();
+  EXPECT_EQ(domain.pending(), 0u);
+  EXPECT_EQ(Counted::live.load(), before);
 }
 
 TEST(EbrExtra, ManyShortLivedThreads) {

@@ -3,8 +3,7 @@
 baseline and fail on large throughput regressions.
 
 The committed baseline is BENCH_micro.json at the repo root, which holds a
-"benchmarks" map of {benchmark name: ns/op} alongside the "metrics" snapshot
-of the observability demo.  CI runs:
+"benchmarks" map of {benchmark name: ns/op}.  CI runs:
 
     ./build/bench/bench_micro \
         --benchmark_format=json --benchmark_out=results.json \
@@ -20,7 +19,7 @@ present on only one side are reported but never fail the gate, so adding or
 retiring a benchmark doesn't need a lockstep baseline update.
 
 --update rewrites the baseline's "benchmarks" map from the results file
-(leaving "metrics" untouched) for recording a new accepted baseline.
+for recording a new accepted baseline.
 """
 
 import argparse
