@@ -21,8 +21,6 @@ namespace cats::skiplist {
 
 class SkipList {
  public:
-  static constexpr int kMaxLevel = skiplist::kMaxLevel;
-
   explicit SkipList(reclaim::Domain& domain = reclaim::Domain::global());
 
   SkipList(const SkipList&) = delete;

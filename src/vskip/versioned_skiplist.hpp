@@ -11,7 +11,8 @@
 // visible to.
 //
 // Simplifications vs. the full KiWi (documented in DESIGN.md): one node per
-// key in a skiplist index instead of multi-key chunks with rebalancing, and
+// key in the skiplist index that SkipList also uses (skiplist/
+// skip_index.hpp) instead of multi-key chunks with rebalancing, and
 // key nodes are never physically removed (removal writes a tombstone
 // record).  Neither changes the global-version hot spot or the version-chain
 // cost that the paper's Fig. 9/10 comparisons exercise.
@@ -35,7 +36,6 @@ namespace cats::vskip {
 
 class VersionedSkipList {
  public:
-  static constexpr int kMaxLevel = skiplist::kMaxLevel;
   static constexpr std::size_t kScanSlots = 256;
 
   explicit VersionedSkipList(
