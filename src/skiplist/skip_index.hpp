@@ -219,8 +219,8 @@ class SkipIndex {
                 expected, word_of(node), std::memory_order_acq_rel)) {
           break;  // linked at this level
         }
-        find(node->key, w);                 // window moved: recompute
-        if (w.succs[0] != node) return;     // node was removed meanwhile
+        find(node->key, w);              // window moved: recompute
+        if (w.succs[0] != node) return;  // node was removed meanwhile
       }
     }
   }
